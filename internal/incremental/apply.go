@@ -9,12 +9,17 @@ import (
 	"acd/internal/unionfind"
 )
 
-// applyCheckpoint installs a compacted snapshot: records re-feed the
-// blocking index (pending pairs are derived, not stored — every pending
-// pair has its Hi side at or beyond ResolvedUpTo, since resolves always
-// cover a prefix of the id space), answers repopulate the cache, and
-// the clustering is applied directly.
-func (e *Engine) applyCheckpoint(cp *journal.Checkpoint) error {
+// ApplyCheckpoint installs a compacted snapshot into an empty engine:
+// records re-feed the blocking index (pending pairs are derived, not
+// stored — every pending pair has its Hi side at or beyond
+// ResolvedUpTo, since resolves always cover a prefix of the id space),
+// answers repopulate the cache, and the clustering is applied directly.
+// A checkpoint replaces history, it does not merge into it: a non-empty
+// engine refuses.
+func (e *Engine) ApplyCheckpoint(cp *journal.Checkpoint) error {
+	if len(e.records) != 0 || e.round != 0 || len(e.answers) != 0 {
+		return fmt.Errorf("incremental: checkpoint applied to a non-empty engine")
+	}
 	for i, data := range cp.Records {
 		if data.ID != i {
 			return fmt.Errorf("incremental: checkpoint record %d carries id %d", i, data.ID)
@@ -28,10 +33,7 @@ func (e *Engine) applyCheckpoint(cp *journal.Checkpoint) error {
 	e.resolvedUpTo = cp.ResolvedUpTo
 	e.pending = filterPending(e.pending, cp.ResolvedUpTo)
 	for _, a := range cp.Answers {
-		p := record.MakePair(record.ID(a.Lo), record.ID(a.Hi))
-		if err := e.cacheAnswer(p, a.FC, a.Source, false); err != nil {
-			return err
-		}
+		e.applyAnswer(a)
 	}
 	if err := e.applyClusters(cp.Clusters); err != nil {
 		return fmt.Errorf("incremental: checkpoint clusters: %w", err)
@@ -42,11 +44,15 @@ func (e *Engine) applyCheckpoint(cp *journal.Checkpoint) error {
 	return nil
 }
 
-// applyEvent replays one journaled event without re-journaling it.
-// Replay is a pure fold: the state after applying a prefix of events is
-// exactly the state the live engine had when the last of them was
-// appended — which is what makes crash-point recovery byte-identical.
-func (e *Engine) applyEvent(ev journal.Event) error {
+// Apply folds one event into the engine — the only way engine state
+// changes, whether the event was just built by Add/AddAnswer/Resolve,
+// just logged by a durable owner, read back by recovery, or shipped to a
+// follower. The fold is pure: the state after applying a prefix of
+// events is exactly the state the live engine had when the last of them
+// was appended, which is what makes crash-point recovery and follower
+// replay byte-identical. ev.Seq is a journal position and only labels
+// errors.
+func (e *Engine) Apply(ev journal.Event) error {
 	switch ev.Type {
 	case journal.EventRecordAdded:
 		if ev.Record == nil {
@@ -57,15 +63,10 @@ func (e *Engine) applyEvent(ev journal.Event) error {
 		}
 		e.applyRecord(*ev.Record)
 	case journal.EventAnswer:
-		a := ev.Answer
-		if a == nil {
+		if ev.Answer == nil {
 			return fmt.Errorf("incremental: event %d: answer without payload", ev.Seq)
 		}
-		p := record.MakePair(record.ID(a.Lo), record.ID(a.Hi))
-		if _, known := e.answers[p]; known {
-			return nil // keep-first, same as the live path
-		}
-		return e.cacheAnswer(p, a.FC, a.Source, false)
+		e.applyAnswer(*ev.Answer)
 	case journal.EventResolve:
 		d := ev.Resolve
 		if d == nil {
@@ -86,8 +87,32 @@ func (e *Engine) applyEvent(ev journal.Event) error {
 	return nil
 }
 
+func (e *Engine) applyRecord(data journal.RecordData) {
+	e.records = append(e.records, data)
+	text := record.New(record.ID(data.ID), data.Fields).Text()
+	e.pending = append(e.pending, e.index.Add(text)...)
+	e.uf.Grow(len(e.records))
+	e.cfg.Obs.Count(MetricRecordsAdded, 1)
+}
+
+// applyAnswer caches one answer, keep-first: a pair that already has an
+// answer is left alone, so replaying or re-sending an answer is a
+// no-op.
+func (e *Engine) applyAnswer(a journal.AnswerData) {
+	p := record.MakePair(record.ID(a.Lo), record.ID(a.Hi))
+	if _, known := e.answers[p]; known {
+		return
+	}
+	e.answers[p] = a.FC
+	e.answerOrder = append(e.answerOrder, p)
+	if a.Source != "" {
+		e.answerSrc[p] = a.Source
+	}
+	e.cfg.Obs.Count(MetricAnswersCached, 1)
+}
+
 // applyClusters replaces the union-find with the journaled partition —
-// the effect-application at the heart of recovery. Resolve effects are
+// the effect-application at the heart of the fold. Resolve effects are
 // monotone (clusters only ever merge), so installing the latest
 // clustering loses nothing from earlier ones.
 func (e *Engine) applyClusters(clusters [][]int) error {

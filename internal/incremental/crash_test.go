@@ -1,54 +1,112 @@
-package incremental
+package incremental_test
+
+// The engine does no I/O, so its journal tests drive it the way the
+// serving stack does: as the one engine of a 1-shard shard.Group, whose
+// log writes the journal and whose recovery folds it back through
+// Engine.Apply.
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 
 	"acd/internal/crowd"
 	"acd/internal/dataset"
+	"acd/internal/incremental"
 	"acd/internal/journal"
 	"acd/internal/obs"
 	"acd/internal/pruning"
+	"acd/internal/shard"
 )
 
-// TestCrashPointSweep cuts the WAL at every byte offset and opens an
-// engine from each truncated image. Recovery must succeed at every cut
+var shard0 = journal.ShardDirName(0)
+
+// openGroup opens (or recovers) a journaled 1-shard group over tree.
+func openGroup(t *testing.T, cfg incremental.Config, tree journal.Tree) *shard.Group {
+	t.Helper()
+	g, err := shard.Open(shard.Config{Shards: 1, Engine: cfg}, tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// snapJSON renders an engine checkpoint with the journal position
+// zeroed: two engines are in the same state exactly when these match.
+func snapJSON(t *testing.T, cp *journal.Checkpoint) string {
+	t.Helper()
+	cp.Seq = 0
+	b, err := json.Marshal(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// engineState returns the full state of the group's engine: the group
+// writes a checkpoint — the engine's own Snapshot — and the newest one
+// in the shard's journal is read back. It compacts the journal, so
+// tests that go on to recover copy the tree first.
+func engineState(t *testing.T, g *shard.Group, tree *journal.MemTree) string {
+	t.Helper()
+	if err := g.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	fs := tree.Dir(shard0)
+	names, err := fs.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	newest := ""
+	for _, n := range names {
+		if strings.HasPrefix(n, "snap-") {
+			newest = n // List is sorted and names are zero-padded
+		}
+	}
+	if newest == "" {
+		t.Fatalf("checkpoint left no snapshot in %v", names)
+	}
+	cp := new(journal.Checkpoint)
+	if err := json.Unmarshal(fs.Bytes(newest), cp); err != nil {
+		t.Fatal(err)
+	}
+	return snapJSON(t, cp)
+}
+
+// TestCrashPointSweep cuts the WAL at every byte offset and opens a
+// group from each truncated image. Recovery must succeed at every cut
 // (the torn tail is the only tolerated corruption) and land in exactly
 // the state a pure replay of the surviving complete events produces —
 // the byte-identical-recovery guarantee, exhaustively.
 func TestCrashPointSweep(t *testing.T) {
-	fs := journal.NewMemFS()
-	cfg := Config{Seed: 2}
-	e, err := Open(cfg, fs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tree := journal.NewMemTree()
+	cfg := incremental.Config{Seed: 2}
+	g := openGroup(t, cfg, tree)
 	// A script exercising all three event types across two waves.
-	if _, err := e.Add(sixRecords()...); err != nil {
+	if _, err := g.Add(incremental.SixRecords()...); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.AddAnswer(4, 5, 0.0, "client"); err != nil {
+	if err := g.AddAnswer(4, 5, 0.0, "client"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Resolve(context.Background()); err != nil {
+	if _, err := g.Resolve(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Add(Record{Fields: map[string]string{"text": "golden dragon palace chinese broadway blvd"}}); err != nil {
+	if _, err := g.Add(incremental.Record{Fields: map[string]string{"text": "golden dragon palace chinese broadway blvd"}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Resolve(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	want := snapJSON(t, e)
-	if err := e.Close(); err != nil {
+	if _, err := g.Resolve(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
 	// No CheckpointEvery, one Open: everything lives in one segment.
+	// Every event is acknowledged, hence synced, so the image can be
+	// taken before the live state is read (which compacts it).
+	fs := tree.Dir(shard0)
 	names, err := fs.List()
 	if err != nil {
 		t.Fatal(err)
@@ -69,6 +127,10 @@ func TestCrashPointSweep(t *testing.T) {
 	if len(full) == 0 {
 		t.Fatal("empty segment")
 	}
+	want := engineState(t, g, tree)
+	if err := g.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	// The reference event sequence, straight from the bytes.
 	var events []journal.Event
@@ -88,10 +150,10 @@ func TestCrashPointSweep(t *testing.T) {
 
 	for cut := 0; cut <= len(full); cut++ {
 		prefix := full[:cut]
-		crashFS := journal.NewMemFS()
-		crashFS.Put(seg, prefix)
+		crash := journal.NewMemTree()
+		crash.Dir(shard0).Put(seg, prefix)
 
-		re, err := Open(cfg, crashFS)
+		re, err := shard.Open(shard.Config{Shards: 1, Engine: cfg}, crash)
 		if err != nil {
 			t.Fatalf("cut %d: recovery failed: %v", cut, err)
 		}
@@ -102,11 +164,11 @@ func TestCrashPointSweep(t *testing.T) {
 		if tail := prefix[bytes.LastIndexByte(prefix, '\n')+1:]; len(tail) > 0 && json.Valid(tail) {
 			k++
 		}
-		ref, err := Rebuild(cfg, nil, events[:k])
+		ref, err := incremental.Rebuild(cfg, nil, events[:k])
 		if err != nil {
 			t.Fatalf("cut %d: rebuild of %d events failed: %v", cut, k, err)
 		}
-		got, wantRef := snapJSON(t, re), snapJSON(t, ref)
+		got, wantRef := engineState(t, re, crash), snapJSON(t, ref.Snapshot())
 		if got != wantRef {
 			t.Fatalf("cut %d (%d events): recovered state differs from pure replay:\n got %s\nwant %s", cut, k, got, wantRef)
 		}
@@ -129,36 +191,39 @@ func TestOracleInvariantAcrossRestart(t *testing.T) {
 	cands := pruning.Prune(recs, pruning.Options{})
 	answers := crowd.BuildAnswers(cands.PairList(), ds.TruthFn(), crowd.UniformDifficulty(0), crowd.ThreeWorker(5))
 
-	addRange := func(t *testing.T, e *Engine, lo, hi int) {
+	// The group stamps each record with its global id, which at one
+	// shard is its position; the twin is fed the same.
+	type adder interface {
+		Add(...incremental.Record) ([]int, error)
+	}
+	addRange := func(t *testing.T, e adder, lo, hi int, gids bool) {
 		t.Helper()
-		for _, r := range recs[lo:hi] {
-			if _, err := e.Add(Record{Fields: r.Fields, Entity: strconv.Itoa(r.Entity)}); err != nil {
+		for i, r := range recs[lo:hi] {
+			rec := incremental.Record{Fields: r.Fields, Entity: strconv.Itoa(r.Entity)}
+			if gids {
+				rec.GID = lo + i
+			}
+			if _, err := e.Add(rec); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 
-	fs := journal.NewMemFS()
-	e1, err := Open(Config{Source: answers, Seed: 7}, fs)
-	if err != nil {
+	tree := journal.NewMemTree()
+	g1 := openGroup(t, incremental.Config{Source: answers, Seed: 7}, tree)
+	addRange(t, g1, 0, half, false)
+	if _, err := g1.Resolve(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	addRange(t, e1, 0, half)
-	if _, err := e1.Resolve(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if err := e1.Close(); err != nil {
+	if err := g1.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	// Restart with a fresh recorder: only wave-2 questions may count.
 	rec2 := obs.New()
-	e2, err := Open(Config{Source: answers, Seed: 7, Obs: rec2}, fs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	addRange(t, e2, half, len(recs))
-	st2, err := e2.Resolve(context.Background())
+	g2 := openGroup(t, incremental.Config{Source: answers, Seed: 7, Obs: rec2}, tree)
+	addRange(t, g2, half, len(recs), false)
+	st2, err := g2.Resolve(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,23 +235,97 @@ func TestOracleInvariantAcrossRestart(t *testing.T) {
 	if int(qa) != st2.QuestionsAsked {
 		t.Errorf("recorder counted %d questions, stats say %d", qa, st2.QuestionsAsked)
 	}
-	got := snapJSON(t, e2)
-	if err := e2.Close(); err != nil {
+	got := engineState(t, g2, tree)
+	if err := g2.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	// The never-restarted twin (its own recorder, so the shared
 	// AnswerSet doesn't leak counts between runs).
-	twin := New(Config{Source: answers, Seed: 7, Obs: obs.New()})
-	addRange(t, twin, 0, half)
+	twin := incremental.New(incremental.Config{Source: answers, Seed: 7, Obs: obs.New()})
+	addRange(t, twin, 0, half, true)
 	if _, err := twin.Resolve(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	addRange(t, twin, half, len(recs))
+	addRange(t, twin, half, len(recs), true)
 	if _, err := twin.Resolve(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if want := snapJSON(t, twin); got != want {
+	if want := snapJSON(t, twin.Snapshot()); got != want {
 		t.Fatalf("restarted engine differs from never-restarted twin:\n got %s\nwant %s", got, want)
+	}
+}
+
+func TestJournalRoundTrip(t *testing.T) {
+	tree := journal.NewMemTree()
+	cfg := incremental.Config{Seed: 3}
+	g := openGroup(t, cfg, tree)
+	if _, err := g.Add(incremental.SixRecords()...); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.AddAnswer(4, 5, 0.0, "client"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.Resolve(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	img := tree.CrashCopy() // the WAL as written, before engineState compacts it
+	want := engineState(t, g, tree)
+	if err := g.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	g2 := openGroup(t, cfg, img)
+	defer g2.Close()
+	if got := engineState(t, g2, img); got != want {
+		t.Fatalf("recovered state differs:\n got %s\nwant %s", got, want)
+	}
+	// The recovered engine keeps working: add one more duplicate and
+	// resolve again.
+	if _, err := g2.Add(incremental.Record{Fields: map[string]string{"text": "harbor seafood grill market st s"}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g2.Resolve(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := g2.Snapshot().Clusters; !reflect.DeepEqual(got, [][]int{{0, 1}, {2, 3}, {4, 6}, {5}}) {
+		t.Fatalf("post-recovery clusters = %v", got)
+	}
+}
+
+// TestCheckpointRecovery: automatic checkpoints compact the journal and
+// recovery from checkpoint + tail events lands in the identical state.
+func TestCheckpointRecovery(t *testing.T) {
+	tree := journal.NewMemTree()
+	cfg := incremental.Config{Seed: 5, CheckpointEvery: 4}
+	g := openGroup(t, cfg, tree)
+	ds := dataset.Restaurant(2)
+	for _, r := range ds.Records[:40] {
+		if _, err := g.Add(incremental.Record{Fields: r.Fields, Entity: strconv.Itoa(r.Entity)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := g.Resolve(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	img := tree.CrashCopy()
+	want := engineState(t, g, tree)
+	g.Close()
+
+	names, _ := img.Dir(shard0).List()
+	hasSnap := false
+	for _, n := range names {
+		if strings.HasPrefix(n, "snap-") {
+			hasSnap = true
+		}
+	}
+	if !hasSnap {
+		t.Fatalf("CheckpointEvery=4 wrote no snapshot; files: %v", names)
+	}
+
+	g2 := openGroup(t, cfg, img)
+	defer g2.Close()
+	if got := engineState(t, g2, img); got != want {
+		t.Fatalf("checkpoint recovery differs:\n got %s\nwant %s", got, want)
 	}
 }

@@ -23,10 +23,13 @@
 // strictly fewer questions than a from-scratch batch run, at batch-level
 // F1.
 //
-// When configured with a journal (internal/journal), every state
-// transition is logged before it is applied — records, answers, and
-// resolve effects (the resulting clustering itself, so recovery replays
-// recorded effects rather than re-running crowd algorithms). Open
-// rebuilds an engine from the journal to exactly the state the log
-// prefix describes, at any crash point.
+// The engine is a pure state machine: it does no I/O, and every state
+// change is one journal.Event folded in by Apply — records, answers,
+// and resolve effects (the resulting clustering itself, so replay
+// applies recorded effects rather than re-running crowd algorithms).
+// Add, AddAnswer and Resolve build those events for a bare in-memory
+// engine. Durability belongs to the engine's owner: internal/shard
+// appends each event to its log and then calls Apply, and recovery and
+// follower replay fold the same events back through the same Apply, to
+// exactly the state the log prefix describes, at any crash point.
 package incremental

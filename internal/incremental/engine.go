@@ -29,7 +29,9 @@ type Record struct {
 	GID int
 }
 
-// Config configures an Engine.
+// Config configures an Engine. The engine itself reads the pipeline
+// fields; the journal fields are read by whoever owns the engine's log
+// (internal/shard) and mean nothing to a bare engine.
 type Config struct {
 	// Tau is the pruning threshold for the incremental blocking index.
 	// Unless TauSet is true, the zero value means pruning.DefaultTau.
@@ -41,8 +43,6 @@ type Config struct {
 	Epsilon float64
 	// RefineX is PC-Refine's budget divisor; 0 means refine.DefaultX.
 	RefineX int
-	// SkipRefinement stops each resolve after cluster generation.
-	SkipRefinement bool
 	// Seed derives the per-round pivot permutation (round r uses
 	// Seed + r), so a run is reproducible given the same input order.
 	Seed int64
@@ -54,8 +54,7 @@ type Config struct {
 	// nothing.
 	Obs *obs.Recorder
 	// CheckpointEvery writes a compacted snapshot after this many
-	// journal events; 0 disables automatic checkpoints. Ignored without
-	// a journal.
+	// journal events; 0 disables automatic checkpoints.
 	CheckpointEvery int
 	// Commit is the journal group-commit policy. The zero value keeps
 	// one fsync per event; a nonzero Window batches concurrent appends
@@ -84,15 +83,14 @@ func (c Config) effectiveEpsilon() float64 {
 	return core.DefaultEpsilon
 }
 
-// Engine is a live deduplication engine: Add records at any time,
-// Resolve to fold pending records into the clustering, and read the
-// current clustering with Clusters. Engines are not safe for concurrent
-// use; callers (acdserve) serialize access.
+// Engine is a live deduplication engine and a pure state machine: every
+// state change is one journal.Event folded in by Apply, and the engine
+// does no I/O of its own. Add, AddAnswer and Resolve build the events a
+// bare in-memory engine needs and Apply them; a durable owner
+// (internal/shard) logs each event first and calls Apply itself.
+// Engines are not safe for concurrent use; callers serialize access.
 type Engine struct {
-	cfg    Config
-	tau    float64
-	store  *journal.Store
-	commit *journal.Committer // non-nil exactly when store is
+	cfg Config
 
 	records []journal.RecordData
 	index   *blocking.IncrementalIndex
@@ -105,72 +103,35 @@ type Engine struct {
 	answers     map[record.Pair]float64
 	answerOrder []record.Pair // first-crowdsourced order, for deterministic priming
 	answerSrc   map[record.Pair]string
-
-	sinceCheckpoint int
-	cpErr           error // latest automatic-checkpoint failure; cleared by a successful checkpoint
 }
 
-// New returns an engine with no journal: state lives only in memory.
+// New returns an empty engine.
 func New(cfg Config) *Engine {
-	tau := cfg.EffectiveTau()
 	return &Engine{
 		cfg:       cfg,
-		tau:       tau,
-		index:     blocking.NewIncrementalIndex(tau),
+		index:     blocking.NewIncrementalIndex(cfg.EffectiveTau()),
 		uf:        &unionfind.Growable{},
 		answers:   make(map[record.Pair]float64),
 		answerSrc: make(map[record.Pair]string),
 	}
 }
 
-// Open recovers an engine from the journal in fs (empty directories
-// start fresh) and attaches the journal so every subsequent state
-// transition is logged. Close the engine to release the journal.
-func Open(cfg Config, fs journal.FS) (*Engine, error) {
-	store, recovered, err := journal.OpenOptions(fs, journal.Options{
-		RotateBytes: cfg.RotateBytes,
-		Obs:         cfg.Obs,
-	})
-	if err != nil {
-		return nil, err
-	}
-	e, err := Rebuild(cfg, recovered.Checkpoint, recovered.Events)
-	if err != nil {
-		store.Close()
-		return nil, err
-	}
-	e.store = store
-	e.commit = journal.NewCommitter(store, cfg.Commit)
-	return e, nil
-}
-
 // Rebuild constructs an engine in the exact state described by a
-// checkpoint (nil for none) plus the events after it — the pure replay
-// function recovery and the crash-point tests share. The result has no
-// journal attached.
+// checkpoint (nil for none) plus the events after it — the reference
+// fold the crash-point and replication tests compare against.
 func Rebuild(cfg Config, cp *journal.Checkpoint, events []journal.Event) (*Engine, error) {
 	e := New(cfg)
 	if cp != nil {
-		if err := e.applyCheckpoint(cp); err != nil {
+		if err := e.ApplyCheckpoint(cp); err != nil {
 			return nil, err
 		}
 	}
 	for _, ev := range events {
-		if err := e.applyEvent(ev); err != nil {
+		if err := e.Apply(ev); err != nil {
 			return nil, err
 		}
 	}
 	return e, nil
-}
-
-// Close flushes outstanding commit groups and detaches and closes the
-// journal, if any. The engine remains readable but further mutations
-// fail.
-func (e *Engine) Close() error {
-	if e.store == nil {
-		return nil
-	}
-	return e.commit.Close() // flushes, stops the flusher, closes the store
 }
 
 // Len returns the number of records the engine holds.
@@ -203,63 +164,45 @@ func (e *Engine) AnsweredPairs() []record.Pair {
 // Record returns the stored form of record id.
 func (e *Engine) Record(id int) journal.RecordData { return e.records[id] }
 
-// Add appends records to the engine, assigns their dense ids, journals
-// them, and feeds them through the blocking index. All records are
-// buffered into the journal's open commit group first and the group is
-// expedited once before blocking, so a multi-record Add shares one
-// fsync across the batch (and a single-record Add never waits out the
-// commit window). It returns the assigned ids; on return every
-// reported id is durable, and on error ids holds the durably committed
-// prefix.
-func (e *Engine) Add(recs ...Record) ([]int, error) {
-	type pend struct {
-		id   int
-		wait <-chan error
-	}
-	pends := make([]pend, 0, len(recs))
-	var appendErr error
-	for _, r := range recs {
-		id, wait, err := e.AddBuffered(r)
-		if err != nil {
-			appendErr = err
-			break
-		}
-		pends = append(pends, pend{id: id, wait: wait})
-	}
-	if e.commit != nil {
-		e.commit.Expedite()
-	}
-	ids := make([]int, 0, len(pends))
-	for _, p := range pends {
-		if err := <-p.wait; err != nil {
-			return ids, err
-		}
-		ids = append(ids, p.id)
-	}
-	return ids, appendErr
+// RecordEvent builds the event that adds r as record id.
+func RecordEvent(id int, r Record) journal.Event {
+	return journal.Event{Type: journal.EventRecordAdded, Record: &journal.RecordData{
+		ID: id, GID: r.GID, Fields: r.Fields, Entity: r.Entity,
+	}}
 }
 
-// AddBuffered appends one record — id assignment, WAL write, in-memory
-// apply — without blocking on durability. The returned channel
-// resolves once the commit group holding the record's journal event
-// has synced; only then may the record be acknowledged. An immediate
-// error means nothing was applied. Without a journal (or with
-// batching disabled) the channel is already resolved on return.
-//
-// The record is applied to in-memory state before it is durable (local
-// id assignment is order-dependent, so apply cannot wait for the
-// fsync); if the commit later fails, the journal is poisoned and every
-// subsequent mutation fails — restart to recover a consistent state.
-func (e *Engine) AddBuffered(r Record) (int, <-chan error, error) {
-	data := journal.RecordData{ID: len(e.records), GID: r.GID, Fields: r.Fields, Entity: r.Entity}
-	wait, err := e.appendAsync(journal.Event{Type: journal.EventRecordAdded, Record: &data})
-	if err != nil {
-		return 0, nil, err
+// AnswerEvent builds the event that caches fc for pair p — the one
+// constructor of answer events, so provenance is journaled the same way
+// wherever the pair is homed: crowd.DefaultSource is the omitted
+// default.
+func AnswerEvent(p record.Pair, fc float64, source string) journal.Event {
+	if source == crowd.DefaultSource {
+		source = ""
 	}
-	e.applyRecord(data)
-	e.cfg.Obs.Count(MetricRecordsAdded, 1)
-	e.autoCheckpoint()
-	return data.ID, wait, nil
+	return journal.Event{Type: journal.EventAnswer, Answer: &journal.AnswerData{
+		Lo: int(p.Lo), Hi: int(p.Hi), FC: fc, Source: source,
+	}}
+}
+
+// ResolveEvent builds the event recording a resolve pass's effect: the
+// clustering over the first resolvedUpTo records.
+func ResolveEvent(round, resolvedUpTo int, clusters [][]int) journal.Event {
+	return journal.Event{Type: journal.EventResolve, Resolve: &journal.ResolveData{
+		Round: round, ResolvedUpTo: resolvedUpTo, Clusters: clusters,
+	}}
+}
+
+// Add appends records to the engine and returns their dense ids.
+func (e *Engine) Add(recs ...Record) ([]int, error) {
+	ids := make([]int, 0, len(recs))
+	for _, r := range recs {
+		ev := RecordEvent(len(e.records), r)
+		if err := e.Apply(ev); err != nil {
+			return ids, err
+		}
+		ids = append(ids, ev.Record.ID)
+	}
+	return ids, nil
 }
 
 // ValidateAnswer checks whether (lo,hi,fc) is an answer AddAnswer would
@@ -283,40 +226,7 @@ func (e *Engine) AddAnswer(lo, hi int, fc float64, source string) error {
 	if err := e.ValidateAnswer(lo, hi, fc); err != nil {
 		return err
 	}
-	p := record.MakePair(record.ID(lo), record.ID(hi))
-	if _, known := e.answers[p]; known {
-		return nil
-	}
-	return e.cacheAnswer(p, fc, source, true)
-}
-
-// AddAnswerBuffered is AddAnswer without blocking on durability: the
-// answer is journaled and cached immediately, and the returned channel
-// resolves once its commit group syncs — only then may the answer be
-// acknowledged. Known pairs resolve instantly (idempotent no-op). An
-// immediate error means nothing was applied.
-func (e *Engine) AddAnswerBuffered(lo, hi int, fc float64, source string) (<-chan error, error) {
-	if err := e.ValidateAnswer(lo, hi, fc); err != nil {
-		return nil, err
-	}
-	p := record.MakePair(record.ID(lo), record.ID(hi))
-	if _, known := e.answers[p]; known {
-		ch := make(chan error, 1)
-		ch <- nil
-		return ch, nil
-	}
-	if source == crowd.DefaultSource {
-		source = ""
-	}
-	wait, err := e.appendAsync(journal.Event{Type: journal.EventAnswer, Answer: &journal.AnswerData{
-		Lo: int(p.Lo), Hi: int(p.Hi), FC: fc, Source: source,
-	}})
-	if err != nil {
-		return nil, err
-	}
-	e.applyAnswer(p, fc, source)
-	e.autoCheckpoint()
-	return wait, nil
+	return e.Apply(AnswerEvent(record.MakePair(record.ID(lo), record.ID(hi)), fc, source))
 }
 
 // Answer returns the cached crowd answer for a pair, if any.
@@ -339,15 +249,11 @@ func (e *Engine) Clusters() [][]int {
 	return e.uf.Sets(len(e.records))
 }
 
-// Snapshot captures the engine's full durable state as a checkpoint.
-// Two engines are in identical state exactly when their snapshots are
-// byte-identical after zeroing Seq (which tracks journal position, not
-// engine state).
+// Snapshot captures the engine's full state as a checkpoint. Two
+// engines are in identical state exactly when their snapshots are
+// byte-identical. Seq is left 0: it is a journal position, which the
+// log writing the checkpoint stamps.
 func (e *Engine) Snapshot() *journal.Checkpoint {
-	var seq int64
-	if e.store != nil {
-		seq = e.store.NextSeq() - 1
-	}
 	answers := make([]journal.AnswerData, 0, len(e.answerOrder))
 	for _, p := range e.answerOrder {
 		answers = append(answers, journal.AnswerData{
@@ -357,7 +263,6 @@ func (e *Engine) Snapshot() *journal.Checkpoint {
 		})
 	}
 	return &journal.Checkpoint{
-		Seq:          seq,
 		Round:        e.round,
 		ResolvedUpTo: e.resolvedUpTo,
 		Records:      append([]journal.RecordData(nil), e.records...),
@@ -365,139 +270,6 @@ func (e *Engine) Snapshot() *journal.Checkpoint {
 		Clusters:     e.Clusters(),
 		Stats:        journal.IndexStats{Records: e.index.Len(), Postings: e.index.Postings()},
 	}
-}
-
-// Checkpoint writes a compacted snapshot to the journal now, letting it
-// drop fully-covered WAL segments. No-op without a journal.
-func (e *Engine) Checkpoint() error {
-	if e.store == nil {
-		return nil
-	}
-	if err := e.commit.WriteCheckpoint(e.Snapshot()); err != nil {
-		return err
-	}
-	e.sinceCheckpoint = 0
-	e.cpErr = nil
-	e.cfg.Obs.Count(MetricCheckpoints, 1)
-	return nil
-}
-
-// CheckpointErr returns the latest automatic-checkpoint failure, or nil.
-// Auto-checkpoints piggyback on mutations whose own append and apply
-// already succeeded, so their failure must not fail (or un-ack) the
-// mutation — the WAL still holds every event a missed snapshot would
-// have covered, and the checkpoint is retried on the next eligible
-// mutation. The error is held here (and counted as
-// MetricCheckpointErrors) instead of vanishing; a later successful
-// checkpoint clears it.
-func (e *Engine) CheckpointErr() error { return e.cpErr }
-
-// Flush blocks until every buffered journal event is durable — the
-// barrier the shard layer takes before a resolve or checkpoint. No-op
-// without a journal or with batching disabled.
-func (e *Engine) Flush() error {
-	if e.store == nil {
-		return nil
-	}
-	return e.commit.Flush()
-}
-
-// append journals one event and waits for durability; a no-op without
-// a journal.
-func (e *Engine) append(ev journal.Event) error {
-	if e.store == nil {
-		return nil
-	}
-	if _, err := e.commit.Append(ev); err != nil {
-		return err
-	}
-	e.sinceCheckpoint++
-	e.cfg.Obs.Count(MetricJournalEvents, 1)
-	return nil
-}
-
-// appendAsync journals one event without blocking on durability,
-// returning a channel resolved when its commit group syncs. Without a
-// journal the returned channel is already resolved.
-func (e *Engine) appendAsync(ev journal.Event) (<-chan error, error) {
-	if e.store == nil {
-		ch := make(chan error, 1)
-		ch <- nil
-		return ch, nil
-	}
-	_, wait, err := e.commit.AppendAsync(ev)
-	if err != nil {
-		return nil, err
-	}
-	e.sinceCheckpoint++
-	e.cfg.Obs.Count(MetricJournalEvents, 1)
-	return wait, nil
-}
-
-// autoCheckpoint writes the periodic compacted snapshot once enough
-// events have accumulated. Failures are demoted to CheckpointErr (plus
-// a metric): the caller's mutation is already journaled and applied, so
-// surfacing the failure as the mutation's error would make callers
-// treat a durable, applied event as failed (the shard group would skip
-// its gid registration and wedge the shard). sinceCheckpoint is left
-// untouched on failure, so the next eligible mutation retries.
-func (e *Engine) autoCheckpoint() {
-	if e.store == nil || e.cfg.CheckpointEvery <= 0 || e.sinceCheckpoint < e.cfg.CheckpointEvery {
-		return
-	}
-	if err := e.Checkpoint(); err != nil {
-		e.cpErr = err
-		e.cfg.Obs.Count(MetricCheckpointErrors, 1)
-	}
-}
-
-// applyRecord is the journal-free half of Add, shared with replay.
-func (e *Engine) applyRecord(data journal.RecordData) {
-	e.records = append(e.records, data)
-	text := record.New(record.ID(data.ID), data.Fields).Text()
-	e.pending = append(e.pending, e.index.Add(text)...)
-	e.uf.Grow(len(e.records))
-}
-
-// cacheAnswer stores a fresh answer, journaling it first when asked to
-// (WAL discipline: an answer is durable before anything depends on it).
-func (e *Engine) cacheAnswer(p record.Pair, fc float64, source string, journalIt bool) error {
-	if source == crowd.DefaultSource {
-		source = ""
-	}
-	if journalIt {
-		err := e.append(journal.Event{Type: journal.EventAnswer, Answer: &journal.AnswerData{
-			Lo: int(p.Lo), Hi: int(p.Hi), FC: fc, Source: source,
-		}})
-		if err != nil {
-			return err
-		}
-	}
-	e.applyAnswer(p, fc, source)
-	if journalIt {
-		e.autoCheckpoint()
-	}
-	return nil
-}
-
-// applyAnswer is the journal-free half of answer caching. source must
-// already be normalized ("" for the default crowd source).
-func (e *Engine) applyAnswer(p record.Pair, fc float64, source string) {
-	e.answers[p] = fc
-	e.answerOrder = append(e.answerOrder, p)
-	if source != "" {
-		e.answerSrc[p] = source
-	}
-	e.cfg.Obs.Count(MetricAnswersCached, 1)
-}
-
-// answerSource returns a pair's provenance label (crowd.DefaultSource
-// when it was never overridden).
-func (e *Engine) answerSource(p record.Pair) string {
-	if s, ok := e.answerSrc[p]; ok {
-		return s
-	}
-	return crowd.DefaultSource
 }
 
 // newResolveSession builds the crowd session a resolve pass uses: the
@@ -628,37 +400,3 @@ func (m machineSource) Config() crowd.Config { return crowd.ThreeWorker(0) }
 var _ crowd.BatchSource = (*sinkSource)(nil)
 var _ crowd.VoteCounter = (*sinkSource)(nil)
 var _ crowd.Biller = (*sinkSource)(nil)
-
-// Evaluate scores the engine's current clustering against the journaled
-// ground-truth entity labels (records with empty labels are each their
-// own entity). It returns precision, recall and F1 over record pairs.
-func (e *Engine) Evaluate() (precision, recall, f1 float64) {
-	var tp, fp, fn float64
-	n := len(e.records)
-	e.uf.Grow(n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			same := e.uf.Same(i, j)
-			ei, ej := e.records[i].Entity, e.records[j].Entity
-			truth := ei != "" && ei == ej
-			switch {
-			case same && truth:
-				tp++
-			case same && !truth:
-				fp++
-			case !same && truth:
-				fn++
-			}
-		}
-	}
-	if tp+fp > 0 {
-		precision = tp / (tp + fp)
-	}
-	if tp+fn > 0 {
-		recall = tp / (tp + fn)
-	}
-	if precision+recall > 0 {
-		f1 = 2 * precision * recall / (precision + recall)
-	}
-	return precision, recall, f1
-}

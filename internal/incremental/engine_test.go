@@ -2,16 +2,11 @@ package incremental
 
 import (
 	"context"
-	"encoding/json"
 	"math"
 	"reflect"
-	"strconv"
 	"testing"
 
-	"acd/internal/dataset"
 	"acd/internal/journal"
-	"acd/internal/obs"
-	"acd/internal/record"
 )
 
 // six records: {0,1} and {2,3} are near-duplicates, 4 and 5 are loners.
@@ -29,17 +24,6 @@ func sixRecords() []Record {
 		out[i] = Record{Fields: map[string]string{"text": s}}
 	}
 	return out
-}
-
-func snapJSON(t *testing.T, e *Engine) string {
-	t.Helper()
-	cp := e.Snapshot()
-	cp.Seq = 0 // journal position, not engine state
-	b, err := json.Marshal(cp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(b)
 }
 
 func TestEngineMachineFallback(t *testing.T) {
@@ -140,7 +124,7 @@ func TestAddAnswerValidation(t *testing.T) {
 	if e.AnswerCount() != 1 {
 		t.Errorf("AnswerCount = %d", e.AnswerCount())
 	}
-	if src := e.answerSource(record.MakePair(0, 1)); src != "client" {
+	if src := e.Snapshot().Answers[0].Source; src != "client" {
 		t.Errorf("source = %q", src)
 	}
 }
@@ -166,140 +150,6 @@ func TestResolveCancelled(t *testing.T) {
 	}
 	if e.Round() != 1 {
 		t.Errorf("round = %d after recovery from cancellation", e.Round())
-	}
-}
-
-func TestJournalRoundTrip(t *testing.T) {
-	fs := journal.NewMemFS()
-	cfg := Config{Seed: 3}
-	e, err := Open(cfg, fs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Add(sixRecords()...); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.AddAnswer(4, 5, 0.0, "client"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Resolve(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	want := snapJSON(t, e)
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	e2, err := Open(cfg, fs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e2.Close()
-	if got := snapJSON(t, e2); got != want {
-		t.Fatalf("recovered state differs:\n got %s\nwant %s", got, want)
-	}
-	// The recovered engine keeps working: add one more duplicate and
-	// resolve again.
-	if _, err := e2.Add(Record{Fields: map[string]string{"text": "harbor seafood grill market st s"}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e2.Resolve(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if got := e2.Clusters(); !reflect.DeepEqual(got, [][]int{{0, 1}, {2, 3}, {4, 6}, {5}}) {
-		t.Fatalf("post-recovery clusters = %v", got)
-	}
-}
-
-// TestCheckpointRecovery: automatic checkpoints compact the journal and
-// recovery from checkpoint + tail events lands in the identical state.
-func TestCheckpointRecovery(t *testing.T) {
-	fs := journal.NewMemFS()
-	cfg := Config{Seed: 5, CheckpointEvery: 4}
-	e, err := Open(cfg, fs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds := dataset.Restaurant(2)
-	for _, r := range ds.Records[:40] {
-		if _, err := e.Add(Record{Fields: r.Fields, Entity: strconv.Itoa(r.Entity)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := e.Resolve(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	want := snapJSON(t, e)
-	e.Close()
-
-	names, _ := fs.List()
-	hasSnap := false
-	for _, n := range names {
-		if len(n) > 5 && n[:5] == "snap-" {
-			hasSnap = true
-		}
-	}
-	if !hasSnap {
-		t.Fatalf("CheckpointEvery=4 wrote no snapshot; files: %v", names)
-	}
-
-	e2, err := Open(cfg, fs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e2.Close()
-	if got := snapJSON(t, e2); got != want {
-		t.Fatalf("checkpoint recovery differs:\n got %s\nwant %s", got, want)
-	}
-}
-
-// TestAutoCheckpointFailureKeepsMutationsAcked: an automatic-checkpoint
-// failure must not fail the mutation that triggered it — the record's
-// append and apply already succeeded, and callers (the shard group's
-// gid bookkeeping) must see it acked. The failure lands in
-// CheckpointErr and a counter instead, and the next eligible mutation
-// retries the checkpoint.
-func TestAutoCheckpointFailureKeepsMutationsAcked(t *testing.T) {
-	fs := journal.NewMemFS()
-	rec := obs.New()
-	e, err := Open(Config{Seed: 1, CheckpointEvery: 2, Obs: rec}, fs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	six := sixRecords()
-	if _, err := e.Add(six[0]); err != nil {
-		t.Fatal(err)
-	}
-	// The next write (record 1's WAL append) succeeds; the one after it
-	// (the checkpoint's tmp file) fails.
-	fs.FailAfterWrites(1)
-	id, wait, err := e.AddBuffered(six[1])
-	if err != nil {
-		t.Fatalf("AddBuffered surfaced the auto-checkpoint failure as an append error: %v", err)
-	}
-	if err := <-wait; err != nil {
-		t.Fatalf("durable record not acked: %v", err)
-	}
-	if id != 1 {
-		t.Fatalf("id = %d, want 1", id)
-	}
-	if e.CheckpointErr() == nil {
-		t.Error("auto-checkpoint failure vanished: CheckpointErr is nil")
-	}
-	if got := rec.Counter(MetricCheckpointErrors); got != 1 {
-		t.Errorf("checkpoint_errors = %d, want 1", got)
-	}
-	// The engine keeps accepting mutations; the retried checkpoint
-	// succeeds and clears the sticky error.
-	if _, err := e.Add(six[2]); err != nil {
-		t.Fatalf("add after auto-checkpoint failure: %v", err)
-	}
-	if err := e.CheckpointErr(); err != nil {
-		t.Errorf("sticky error survived a successful checkpoint: %v", err)
-	}
-	if got := rec.Counter(MetricCheckpoints); got < 1 {
-		t.Errorf("checkpoints = %d, want ≥ 1 (the retry)", got)
 	}
 }
 

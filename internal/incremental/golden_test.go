@@ -103,7 +103,19 @@ func TestPrefixSplitGolden(t *testing.T) {
 	}
 
 	// F1 envelope: the incremental result must hold the batch quality.
-	_, _, f1Inc := eng.Evaluate()
+	sets := make([][]record.ID, 0)
+	for _, set := range eng.Clusters() {
+		ids := make([]record.ID, len(set))
+		for i, m := range set {
+			ids[i] = record.ID(m)
+		}
+		sets = append(sets, ids)
+	}
+	incClusters, err := cluster.FromSets(n, sets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f1Inc := cluster.Evaluate(incClusters, ds.Truth()).F1
 	if f1Inc < f1Batch-0.02 {
 		t.Errorf("incremental F1 %.4f below batch envelope (batch %.4f)", f1Inc, f1Batch)
 	}

@@ -6,7 +6,8 @@ package incremental
 // top, most importantly the inference counters that explain why a
 // resolve pass asked as little as it did.
 const (
-	// MetricRecordsAdded counts records accepted by Add.
+	// MetricRecordsAdded counts records entering the engine, from Add or
+	// from replay.
 	MetricRecordsAdded = "incremental/records_added"
 	// MetricAnswersCached counts answers entering the engine cache, from
 	// any provenance (resolve-time crowdsourcing, AddAnswer, recovery).
@@ -26,14 +27,18 @@ const (
 	// MetricResidualPairs counts pending pairs that actually needed the
 	// crowd machinery (no cached answer).
 	MetricResidualPairs = "incremental/residual_pairs"
-	// MetricJournalEvents counts events appended to the journal.
+	// MetricJournalEvents, MetricCheckpoints and MetricCheckpointErrors
+	// are emitted by the engine's durable owner (internal/shard's log),
+	// not by the engine, which does no I/O; they keep their names so
+	// dashboards and the benchmark read on.
+	//
+	// MetricJournalEvents counts events appended to a journal.
 	MetricJournalEvents = "incremental/journal_events"
 	// MetricCheckpoints counts compacted snapshots written.
 	MetricCheckpoints = "incremental/checkpoints"
 	// MetricCheckpointErrors counts failed automatic checkpoints. The
 	// triggering mutation is journaled and applied regardless (the WAL
 	// still covers the state a snapshot would have), and the checkpoint
-	// retries on the next eligible mutation — but the failure must not
-	// vanish; Engine.CheckpointErr holds the latest one.
+	// retries on the next eligible event.
 	MetricCheckpointErrors = "incremental/checkpoint_errors"
 )

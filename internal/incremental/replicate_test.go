@@ -1,61 +1,59 @@
-package incremental
+package incremental_test
 
 import (
 	"testing"
 	"time"
 
+	"acd/internal/incremental"
 	"acd/internal/journal"
+	"acd/internal/shard"
 )
 
-// TestReplicationSurface: the follower-facing entry points. A volatile
-// engine folds shipped events and checkpoints exactly like recovery; a
-// journaled engine refuses both (applying unlogged state would fork it
-// from its own journal) and exposes its durable watermark.
+// TestReplicationSurface: the follower-facing entry points. A leader's
+// journal exposes its durable watermark, and a bare engine folds the
+// shipped checkpoint and events exactly like recovery, refusing a
+// checkpoint once it holds state and rejecting garbage loudly.
 func TestReplicationSurface(t *testing.T) {
 	// Produce a real event + checkpoint stream from a journaled leader.
-	fs := journal.NewMemFS()
-	leader, err := Open(Config{}, fs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tree := journal.NewMemTree()
+	leader := openGroup(t, incremental.Config{}, tree)
 	if _, err := leader.Add(
-		Record{Fields: map[string]string{"title": "alpha beta"}},
-		Record{Fields: map[string]string{"title": "alpha beta gamma"}},
+		incremental.Record{Fields: map[string]string{"title": "alpha beta"}},
+		incremental.Record{Fields: map[string]string{"title": "alpha beta gamma"}},
 	); err != nil {
 		t.Fatal(err)
 	}
-	if leader.DurableSeq() != 2 {
-		t.Fatalf("leader DurableSeq = %d after 2 logged adds", leader.DurableSeq())
+	if got := leader.Feeds()[0].Durable(); got != 2 {
+		t.Fatalf("leader durable watermark = %d after 2 logged adds", got)
 	}
 	if err := leader.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-
-	// The journaled engine must refuse the volatile-only surface.
-	_, rec, err := journal.OpenOptions(fs.CrashCopy(), journal.Options{})
+	_, rec, err := journal.OpenOptions(tree.CrashCopy().Dir(shard0), journal.Options{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if err := leader.ApplyLogged(journal.Event{}); err == nil {
-		t.Fatal("ApplyLogged accepted on a journaled engine")
-	}
-	if err := leader.ApplyLoggedCheckpoint(rec.Checkpoint); err == nil {
-		t.Fatal("ApplyLoggedCheckpoint accepted on a journaled engine")
 	}
 	if err := leader.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// A volatile standby installs the shipped checkpoint once, refuses a
-	// second (non-empty engine), and matches the leader's state.
-	standby := New(Config{})
-	if standby.DurableSeq() != 0 {
-		t.Fatalf("volatile DurableSeq = %d, want 0", standby.DurableSeq())
-	}
-	if err := standby.ApplyLoggedCheckpoint(rec.Checkpoint); err != nil {
+	// A volatile group has no journal to ship.
+	volatile, err := shard.New(shard.Config{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := standby.ApplyLoggedCheckpoint(rec.Checkpoint); err == nil {
+	if feeds := volatile.Feeds(); feeds != nil {
+		t.Fatalf("volatile group lists feeds %v", feeds)
+	}
+	volatile.Close()
+
+	// A standby engine installs the shipped checkpoint once, refuses a
+	// second (non-empty engine), and matches the leader's state.
+	standby := incremental.New(incremental.Config{})
+	if err := standby.ApplyCheckpoint(rec.Checkpoint); err != nil {
+		t.Fatal(err)
+	}
+	if err := standby.ApplyCheckpoint(rec.Checkpoint); err == nil {
 		t.Fatal("checkpoint installed twice into the same standby")
 	}
 	if got, want := len(standby.Snapshot().Records), 2; got != want {
@@ -63,7 +61,7 @@ func TestReplicationSurface(t *testing.T) {
 	}
 
 	// Fold one more shipped event and reject garbage loudly.
-	if err := standby.ApplyLogged(journal.Event{
+	if err := standby.Apply(journal.Event{
 		Seq:  3,
 		Type: journal.EventRecordAdded,
 		Record: &journal.RecordData{
@@ -76,25 +74,23 @@ func TestReplicationSurface(t *testing.T) {
 	if got := len(standby.Snapshot().Records); got != 3 {
 		t.Fatalf("standby records = %d after folding a shipped add", got)
 	}
-	if err := standby.ApplyLogged(journal.Event{Seq: 4, Type: "no-such-type"}); err == nil {
+	if err := standby.Apply(journal.Event{Seq: 4, Type: "no-such-type"}); err == nil {
 		t.Fatal("unknown shipped event type folded silently")
 	}
 }
 
-// TestRouterSurface: the accessors and fan-out entry points the shard
-// router drives — scored-pending snapshots, the answer ledger, stored
-// record lookup, buffered answers with the durability barrier, and an
-// externally computed resolve applied through ApplyResolve.
+// TestRouterSurface: what the shard router drives — the engine's
+// scored-pending snapshots, answer ledger, stored record lookup and an
+// externally computed resolve applied as an event; and, through a
+// group-committing journal, answers acknowledged only once durable,
+// with a repeated answer journaling nothing.
 func TestRouterSurface(t *testing.T) {
-	e, err := Open(Config{Commit: journal.GroupPolicy{Window: time.Millisecond}}, journal.NewMemFS())
-	if err != nil {
-		t.Fatal(err)
+	recs := []incremental.Record{
+		{Fields: map[string]string{"title": "alpha beta gamma"}},
+		{Fields: map[string]string{"title": "alpha beta gamma delta"}},
 	}
-	defer e.Close()
-	ids, err := e.Add(
-		Record{Fields: map[string]string{"title": "alpha beta gamma"}},
-		Record{Fields: map[string]string{"title": "alpha beta gamma delta"}},
-	)
+	e := incremental.New(incremental.Config{})
+	ids, err := e.Add(recs...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,37 +100,46 @@ func TestRouterSurface(t *testing.T) {
 	if got, want := len(e.PendingScored()), e.PendingPairs(); got != want {
 		t.Fatalf("PendingScored returned %d pairs, PendingPairs says %d", got, want)
 	}
-
-	ack, err := e.AddAnswerBuffered(ids[0], ids[1], 1.0, "test")
-	if err != nil {
+	if err := e.AddAnswer(ids[0], ids[1], 1.0, "test"); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-ack; err != nil {
-		t.Fatal(err)
-	}
-	// Re-answering a known pair is an idempotent instant ack.
-	ack2, err := e.AddAnswerBuffered(ids[0], ids[1], 0.0, "test")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := <-ack2; err != nil {
+	if err := e.AddAnswer(ids[0], ids[1], 0.0, "test"); err != nil {
 		t.Fatal(err)
 	}
 	if got := e.AnsweredPairs(); len(got) != 1 {
 		t.Fatalf("AnsweredPairs = %v, want exactly the one cached pair", got)
 	}
-
-	if err := e.ApplyResolve(1, [][]int{{ids[0], ids[1]}}); err != nil {
+	if err := e.Apply(incremental.ResolveEvent(1, e.Len(), [][]int{{ids[0], ids[1]}})); err != nil {
 		t.Fatal(err)
 	}
 	snap := e.Snapshot()
 	if snap.Round != 1 || len(snap.Clusters) != 1 || len(snap.Clusters[0]) != 2 {
-		t.Fatalf("after ApplyResolve: round %d clusters %v", snap.Round, snap.Clusters)
+		t.Fatalf("after the resolve event: round %d clusters %v", snap.Round, snap.Clusters)
 	}
 	if e.PendingPairs() != 0 {
 		t.Fatalf("pending pairs survived a resolve: %d", e.PendingPairs())
+	}
+
+	g := openGroup(t, incremental.Config{Commit: journal.GroupPolicy{Window: time.Millisecond}}, journal.NewMemTree())
+	defer g.Close()
+	if _, err := g.Add(recs...); err != nil {
+		t.Fatal(err)
+	}
+	durable := g.Feeds()[0].Durable
+	if err := g.AddAnswer(0, 1, 1.0, "test"); err != nil {
+		t.Fatal(err)
+	}
+	if got := durable(); got != 3 {
+		t.Fatalf("answer acknowledged at durable watermark %d, want 3", got)
+	}
+	// Re-answering a known pair is an idempotent instant ack.
+	if err := g.AddAnswer(0, 1, 0.0, "test"); err != nil {
+		t.Fatal(err)
+	}
+	if got := durable(); got != 3 {
+		t.Fatalf("repeated answer was journaled: durable watermark %d", got)
+	}
+	if got := g.Snapshot().Answers; got != 1 {
+		t.Fatalf("group holds %d answers, want exactly the one cached pair", got)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"acd/internal/blocking"
 	"acd/internal/cluster"
 	"acd/internal/core"
-	"acd/internal/journal"
 	"acd/internal/pruning"
 	"acd/internal/record"
 	"acd/internal/refine"
@@ -46,12 +45,12 @@ type ResolveStats struct {
 }
 
 // AnswerSink receives every fresh crowd answer the instant a resolve
-// pass obtains it, before the algorithms act on it — the WAL seam. The
-// engine's sink journals into its own store; the shard router's sink
-// routes each answer to the shard owning the pair (or to the router
-// journal for cross-shard pairs). Sinks must be idempotent: priming
-// guarantees the session never re-asks a cached pair, but a sink may
-// still see a pair it already knows.
+// pass obtains it, before the algorithms act on it — the WAL seam. A
+// bare engine's sink applies the answer event; the shard router's sink
+// logs it where the pair is homed (the owning shard's journal, or the
+// router's for cross-shard pairs) and then applies it. Sinks must be
+// idempotent: priming guarantees the session never re-asks a cached
+// pair, but a sink may still see a pair it already knows.
 type AnswerSink func(p record.Pair, fc float64, source string) error
 
 // ResolveState is the complete input of one resolve pass over a record
@@ -91,9 +90,8 @@ type ResolveState struct {
 // only the residual flows through a scoped PC-Pivot + PC-Refine pass
 // seeded with the existing clustering. It returns the merged clustering
 // in canonical form and the pass accounting; committing the effect
-// (journaling and applying the clusters) is the caller's job, which is
-// how the engine and the shard router share this code while keeping
-// their own durability layouts.
+// (logging and applying a ResolveEvent) is the caller's job, which is
+// how a bare engine and the shard router share this code.
 //
 // Cached answers are primed in canonical pair order (closure stars
 // first), so the pass depends only on the *set* of cached answers — not
@@ -182,7 +180,7 @@ func RunResolve(cfg Config, st ResolveState) (clusters [][]int, stats ResolveSta
 
 	rng := rand.New(rand.NewSource(cfg.Seed + int64(st.Round-1)))
 	c, _ := core.PCPivotPerm(cands, sess, cfg.effectiveEpsilon(), core.NewPermutation(st.N, rng))
-	if sess.Err() == nil && !cfg.SkipRefinement {
+	if sess.Err() == nil {
 		c = refine.PCRefine(c, cands, sess, cfg.RefineX)
 	}
 	if err := sess.Err(); err != nil {
@@ -223,13 +221,12 @@ func RunResolve(cfg Config, st ResolveState) (clusters [][]int, stats ResolveSta
 	return clusters, stats, nil
 }
 
-// Resolve folds all pending records into the clustering via RunResolve,
-// then commits the effect: the full clustering is journaled (WAL
-// discipline) before being applied, and pending state is cleared.
+// Resolve folds all pending records into the clustering: one RunResolve
+// pass whose fresh answers and final effect are applied as events.
 //
 // ctx cancels the pass mid-crowd-iteration: the engine state is left
-// exactly as before the call (answers already received remain cached
-// and journaled — they were paid for), and the error is returned.
+// exactly as before the call except that answers already received
+// remain cached (they were paid for), and the error is returned.
 func (e *Engine) Resolve(ctx context.Context) (ResolveStats, error) {
 	n := len(e.records)
 	clusters, stats, err := RunResolve(e.cfg, ResolveState{
@@ -244,52 +241,12 @@ func (e *Engine) Resolve(ctx context.Context) (ResolveStats, error) {
 			return fc, ok
 		},
 		Sink: func(p record.Pair, fc float64, source string) error {
-			if _, known := e.answers[p]; known {
-				return nil // the session never re-asks, but stay idempotent anyway
-			}
-			return e.cacheAnswer(p, fc, source, true)
+			return e.Apply(AnswerEvent(p, fc, source))
 		},
 		Ctx: ctx,
 	})
 	if err != nil {
 		return stats, err
 	}
-
-	// Journal the effect before applying it (WAL discipline): a crash
-	// here recovers to the pre-resolve state with all answers cached, so
-	// re-running the pass is free.
-	if err := e.commitResolve(stats.Round, clusters); err != nil {
-		return stats, err
-	}
-	return stats, nil
-}
-
-// ApplyResolve journals and applies an externally computed resolve
-// effect covering every record the engine currently holds. The shard
-// router uses it to fan a global resolve's clustering out to each
-// shard: the router computes once, and every shard commits its own
-// restriction to its own journal.
-func (e *Engine) ApplyResolve(round int, clusters [][]int) error {
-	return e.commitResolve(round, clusters)
-}
-
-// commitResolve writes the resolve effect to the journal and installs
-// it: clusters replace the union-find, pending pairs are cleared, and
-// the round and resolved watermark advance.
-func (e *Engine) commitResolve(round int, clusters [][]int) error {
-	n := len(e.records)
-	err := e.append(journal.Event{Type: journal.EventResolve, Resolve: &journal.ResolveData{
-		Round: round, ResolvedUpTo: n, Clusters: clusters,
-	}})
-	if err != nil {
-		return err
-	}
-	if err := e.applyClusters(clusters); err != nil {
-		return err
-	}
-	e.round = round
-	e.resolvedUpTo = n
-	e.pending = nil
-	e.autoCheckpoint()
-	return nil
+	return stats, e.Apply(ResolveEvent(stats.Round, n, clusters))
 }

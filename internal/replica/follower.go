@@ -234,8 +234,6 @@ func (f *Follower) fetch(ctx context.Context, name string, from int64, advanced 
 
 // apply persists one batch into the follower's journal (commit before
 // ack — the standby only ever folds durable events) and then folds it.
-// Duplicated events are skipped and a gap stops the batch (the rest is
-// re-fetched), which keeps replication idempotent under chaotic links.
 // It returns how many events advanced the journal.
 func (f *Follower) apply(name string, b Batch) (int, error) {
 	f.mu.Lock()
@@ -259,18 +257,41 @@ func (f *Follower) apply(name string, b Batch) (int, error) {
 	if !ok {
 		return 0, fatal(fmt.Errorf("replica: batch for unknown journal %q", name))
 	}
-	applied := 0
-	if b.Checkpoint != nil && b.Checkpoint.Seq >= st.NextSeq() {
-		if err := st.InstallCheckpoint(b.Checkpoint); err != nil {
-			return 0, fatal(err)
-		}
+	installed, fresh, err := persist(st, b.Checkpoint, b.Events)
+	if err != nil {
+		return 0, fatal(err)
+	}
+	if installed {
+		// The checkpoint replaced this journal's history wholesale:
+		// rebuild the standby from what is now on disk, the batch's
+		// fresh events included.
 		if err := f.reseedLocked(); err != nil {
 			return 0, fatal(err)
 		}
-		applied++
+		return len(fresh) + 1, nil
 	}
-	var fresh []journal.Event
-	for _, ev := range b.Events {
+	for _, ev := range fresh {
+		if err := f.standby.Apply(name, ev); err != nil {
+			return 0, fatal(err)
+		}
+	}
+	return len(fresh), nil
+}
+
+// persist makes one shipped batch durable in st: the checkpoint is
+// installed when it is at or past the journal's cursor, then the events
+// that extend the journal are appended and committed. Duplicated events
+// are skipped and a gap stops the batch (the rest is re-fetched), which
+// keeps replication idempotent under chaotic links. It reports whether
+// the checkpoint was installed and which events were new.
+func persist(st *journal.Store, cp *journal.Checkpoint, events []journal.Event) (installed bool, fresh []journal.Event, err error) {
+	if cp != nil && cp.Seq >= st.NextSeq() {
+		if err := st.InstallCheckpoint(cp); err != nil {
+			return false, nil, err
+		}
+		installed = true
+	}
+	for _, ev := range events {
 		if ev.Seq < st.NextSeq() {
 			continue // duplicate: already persisted
 		}
@@ -278,22 +299,16 @@ func (f *Follower) apply(name string, b Batch) (int, error) {
 			break // gap (reordered or truncated batch): re-fetch later
 		}
 		if err := st.AppendShipped(ev); err != nil {
-			return applied, fatal(err)
+			return installed, nil, err
 		}
 		fresh = append(fresh, ev)
 	}
 	if len(fresh) > 0 {
 		if err := st.Commit(); err != nil {
-			return applied, fatal(err)
+			return installed, nil, err
 		}
-		for _, ev := range fresh {
-			if err := f.standby.Apply(name, ev); err != nil {
-				return applied, fatal(err)
-			}
-		}
-		applied += len(fresh)
 	}
-	return applied, nil
+	return installed, fresh, nil
 }
 
 // Run pulls until the context ends or a fatal error stops replication.
@@ -443,30 +458,11 @@ func (f *Follower) replayOldLocked(old journal.Tree) error {
 			if err != nil {
 				return fmt.Errorf("replica: replaying %s tail: %w", name, err)
 			}
-			progressed := false
-			if tb.Checkpoint != nil && tb.Checkpoint.Seq >= st.NextSeq() {
-				if err := st.InstallCheckpoint(tb.Checkpoint); err != nil {
-					return err
-				}
-				progressed = true
+			installed, fresh, err := persist(st, tb.Checkpoint, tb.Events)
+			if err != nil {
+				return err
 			}
-			appended := false
-			for _, ev := range tb.Events {
-				if ev.Seq < st.NextSeq() {
-					continue
-				}
-				if err := st.AppendShipped(ev); err != nil {
-					return err
-				}
-				appended = true
-			}
-			if appended {
-				if err := st.Commit(); err != nil {
-					return err
-				}
-				progressed = true
-			}
-			if !progressed {
+			if !installed && len(fresh) == 0 {
 				break
 			}
 		}

@@ -48,8 +48,11 @@ func postRecords(t *testing.T, base string, fields ...string) []any {
 }
 
 // waitCaughtUp polls the follower's /clusters until it reports the
-// wanted record count with zero replication lag.
-func waitCaughtUp(t *testing.T, base string, wantRecords int) {
+// wanted record count and resolve round with zero replication lag. The
+// lag header is computed from the leader watermarks of the follower's
+// last fetch, so on its own it can read 0 before a just-committed
+// resolve has shipped.
+func waitCaughtUp(t *testing.T, base string, wantRecords, wantRound int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
@@ -66,12 +69,12 @@ func waitCaughtUp(t *testing.T, base string, wantRecords int) {
 		if lag == "" {
 			t.Fatalf("follower read has no %s header", LagHeader)
 		}
-		if int(m["records"].(float64)) >= wantRecords && lag == "0" {
+		if int(m["records"].(float64)) >= wantRecords && int(m["round"].(float64)) >= wantRound && lag == "0" {
 			return
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	t.Fatalf("follower never caught up to %d records", wantRecords)
+	t.Fatalf("follower never caught up to %d records, round %d", wantRecords, wantRound)
 }
 
 // TestFollowerServesStaleReads: a follower tracking a live leader over
@@ -104,7 +107,7 @@ func TestFollowerServesStaleReads(t *testing.T) {
 	if code, m := httpJSONCall(t, http.MethodPost, leader.URL+"/resolve", ""); code != http.StatusOK {
 		t.Fatalf("POST /resolve: %d %v", code, m)
 	}
-	waitCaughtUp(t, follower.URL, 3)
+	waitCaughtUp(t, follower.URL, 3, 1)
 
 	// The standby's clustering matches the leader's snapshot.
 	want, _ := json.Marshal(leader.Server.Snapshot().Clusters)
@@ -178,7 +181,7 @@ func TestPromoteEndToEnd(t *testing.T) {
 		"chez olive bistro french sunset blvd",
 		"chez olive bistro french sunset",
 	)
-	waitCaughtUp(t, follower.URL, 2)
+	waitCaughtUp(t, follower.URL, 2, 0)
 	// One more write the follower may not have seen: promotion must
 	// recover it from the old journal directory.
 	postRecords(t, leader.URL, "harbor seafood grill market st")

@@ -1,5 +1,7 @@
 // Package serve is the embeddable HTTP front-end over the sharded
-// incremental dedup engine — the engine-and-handlers core of the
+// incremental dedup engine (a shard.Group when leading, a
+// replica.Follower's shard.Standby when following — the same folded
+// state either way) — the engine-and-handlers core of the
 // acdserve command, extracted so the acdload workload generator and its
 // scenario suite can run real servers in-process (loopback smoke tests,
 // crash-image drills) without shelling out to a binary. cmd/acdserve is

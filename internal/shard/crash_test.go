@@ -87,11 +87,7 @@ func buildCrashImage(t *testing.T, withWave2 bool) (*journal.MemTree, string) {
 // externally-visible state — for equality comparisons.
 func snapDigest(t *testing.T, g *Group) string {
 	t.Helper()
-	b, err := json.Marshal(g.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(b)
+	return mustJSON(t, g.Snapshot())
 }
 
 // walImage returns the name and synced bytes of a directory's single
@@ -421,21 +417,35 @@ func TestLegacyJournalAdoption(t *testing.T) {
 	tree := journal.NewMemTree()
 	recs := crashRecords()
 
-	// A PR-5-era engine writes its journal at the directory root.
-	eng, err := incremental.Open(incremental.Config{Seed: 5}, tree.Root())
-	if err != nil {
+	// A PR-5-era engine wrote its journal at the directory root, with
+	// no gids: rebuild one from an in-memory engine's events.
+	eng := incremental.New(incremental.Config{Seed: 5})
+	if _, err := eng.Add(recs[:6]...); err != nil {
 		t.Fatal(err)
-	}
-	for _, r := range recs[:6] {
-		if _, err := eng.Add(r); err != nil {
-			t.Fatal(err)
-		}
 	}
 	if _, err := eng.Resolve(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	want := eng.Clusters()
-	if err := eng.Close(); err != nil {
+	legacy, _, err := journal.Open(tree.Root())
+	if err != nil {
+		t.Fatal(err)
+	}
+	state := eng.Snapshot()
+	for i, data := range state.Records {
+		if _, err := legacy.Append(incremental.RecordEvent(i, incremental.Record{Fields: data.Fields, Entity: data.Entity})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, a := range state.Answers {
+		if _, err := legacy.Append(journal.Event{Type: journal.EventAnswer, Answer: &a}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := legacy.Append(incremental.ResolveEvent(state.Round, state.ResolvedUpTo, state.Clusters)); err != nil {
+		t.Fatal(err)
+	}
+	if err := legacy.Close(); err != nil {
 		t.Fatal(err)
 	}
 

@@ -2,10 +2,10 @@
 // independent shards routed over the blocking-token space, while
 // provably asking the crowd the same questions as a single engine.
 //
-// Each shard owns an incremental.Engine with its own journal directory,
-// fed by a single-owner goroutine so writes to different shards never
-// contend — the expensive part of a write (the WAL fsync) runs in
-// parallel across shards. A record's home shard is the owner of its
+// Each shard owns an incremental.Engine — a pure state machine — and
+// the log that makes it durable, fed by a single-owner goroutine so
+// writes to different shards never contend — the expensive part of a
+// write (the WAL fsync) runs in parallel across shards. A record's home shard is the owner of its
 // minimum normalized token, so routing is deterministic and derivable
 // from the record alone.
 //
@@ -27,6 +27,12 @@
 // The resolve effect is committed router-journal-first, then fanned out
 // to each shard's journal; recovery repairs any shard that crashed
 // between the two.
+//
+// Everything the journals determine lives in one state value changed
+// only by folding events. A live Group appends an event to a log (the
+// package's one durability type; nil when volatile) and folds it;
+// recovery folds what each log held; a follower's Standby folds what
+// the leader ships. The three cannot drift: they are one fold.
 //
 // Reads never take a write lock: every mutation publishes an immutable
 // Snapshot behind an atomic pointer, and GET /clusters-style readers

@@ -24,31 +24,21 @@ func (g *Group) Feeds() []Feed {
 	if g.layout == nil {
 		return nil
 	}
-	feeds := make([]Feed, 0, g.n+1)
+	feeds := make([]Feed, 0, len(g.shards)+1)
 	for i, s := range g.shards {
 		feeds = append(feeds, Feed{
 			Name:    journal.ShardDirName(i),
 			FS:      g.layout.ShardFS[i],
-			Durable: s.eng.DurableSeq,
+			Durable: s.log.DurableSeq,
 		})
 	}
-	feeds = append(feeds, Feed{
+	// A layout without a router journal still lists the (empty) feed:
+	// followers mirror the directory either way.
+	return append(feeds, Feed{
 		Name:    journal.RouterDir,
 		FS:      g.layout.RouterFS,
-		Durable: g.routerDurable,
+		Durable: g.router.DurableSeq,
 	})
-	return feeds
-}
-
-// routerDurable reads the router journal's durable watermark (0 for
-// single-shard groups, which keep no router journal).
-func (g *Group) routerDurable() int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.router == nil {
-		return 0
-	}
-	return g.router.DurableSeq()
 }
 
 // Epoch returns the replication epoch stamped in the layout's

@@ -154,10 +154,10 @@ func goldenWALHistory(t *testing.T, cfg Config) map[string][]string {
 	return seen
 }
 
-// goldenWALDirs lists a layout's directories: the root, the router's
-// and each shard's.
-func goldenWALDirs(shards int) []string {
-	dirs := []string{"", journal.RouterDir}
+// journalDirs lists a layout's journal directories: the router's, then
+// each shard's.
+func journalDirs(shards int) []string {
+	dirs := []string{journal.RouterDir}
 	for s := 0; s < shards; s++ {
 		dirs = append(dirs, journal.ShardDirName(s))
 	}
@@ -169,7 +169,7 @@ func goldenWALDirs(shards int) []string {
 func hashTree(t *testing.T, tree *journal.MemTree, shards int) map[string]string {
 	t.Helper()
 	out := make(map[string]string)
-	for _, d := range goldenWALDirs(shards) {
+	for _, d := range append([]string{""}, journalDirs(shards)...) {
 		names, err := tree.Dir(d).List()
 		if err != nil {
 			t.Fatal(err)
@@ -188,7 +188,7 @@ func hashTree(t *testing.T, tree *journal.MemTree, shards int) map[string]string
 // rotates).
 func goldenWALCoverage(t *testing.T, seen map[string][]string, shards int) {
 	t.Helper()
-	dirs := goldenWALDirs(shards)[1:]
+	dirs := journalDirs(shards)
 	if shards == 1 {
 		dirs = dirs[1:] // a 1-shard layout keeps no router journal
 	}

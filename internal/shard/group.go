@@ -11,7 +11,6 @@ import (
 	"acd/internal/incremental"
 	"acd/internal/journal"
 	"acd/internal/record"
-	"acd/internal/unionfind"
 )
 
 // Config configures a Group.
@@ -32,13 +31,16 @@ type Config struct {
 // taking any write lock. All ids exposed by Group are global ids,
 // dense across shards in arrival order.
 //
-// Concurrency: mu guards all routing state and the router journal;
-// each shard engine is touched only by its own queue goroutine — or by
-// Resolve/Checkpoint/Close after draining every queue. Reads go
+// Every mutation is one journal event that is appended to a log (the
+// home shard's, or the router's) and then folded into st — the same
+// fold recovery and a follower's Standby run.
+//
+// Concurrency: mu guards all routing state and the router log; each
+// shard's engine and log are touched only by its own queue goroutine —
+// or by Resolve/Checkpoint/Close after draining every queue. Reads go
 // through the atomic snapshot pointer and never block.
 type Group struct {
 	cfg Config
-	n   int
 
 	mu        sync.Mutex
 	intakeOK  *sync.Cond // broadcast when resolving clears
@@ -46,17 +48,10 @@ type Group struct {
 	closed    bool
 	failed    error // sticky: a half-committed resolve fan-out
 
+	st     *state
 	shards []*shardState
-
-	// Global id space. home is set at route time (routing never
-	// fails); local is -1 until the shard's fsync acks the record, and
-	// stays -1 forever if the append fails or the record's WAL entry
-	// is lost in a crash — a hole. Holes are permanent: global ids are
-	// never reassigned once potentially durable.
-	nextGID int
-	home    []int   // gid -> shard
-	local   []int   // gid -> local id within home shard, -1 = hole/in-flight
-	gids    [][]int // shard -> local id -> gid
+	router *log            // cross answers + global resolve effects; nil when the layout keeps no router journal or the group is volatile
+	layout *journal.Layout // the opened journal layout; nil when volatile
 
 	// stats mirrors each engine's occupancy so snapshots never read an
 	// engine another goroutine may be mutating; each shard's entry is
@@ -66,24 +61,11 @@ type Group struct {
 
 	// probe is the global blocking index over every record in gid
 	// order; the cross-shard pairs it emits accumulate in handoff
-	// until the next resolve. nil for single-shard groups (no pair can
-	// cross).
+	// until the next resolve. Both are pure functions of the record
+	// stream, so they are never journaled: recovery recomputes them.
+	// nil for single-shard groups (no pair can cross).
 	probe   *blocking.IncrementalIndex
 	handoff []blocking.ScoredPair // cross-shard pending pairs, gid space
-
-	// Cross-shard answers live at the router (neither shard holds both
-	// records); same-shard answers live in the home shard's engine.
-	xans map[record.Pair]float64
-	xord []record.Pair
-	xsrc map[record.Pair]string
-
-	router       *journal.Store // cross answers + global resolve effects; nil when n==1 or volatile
-	routerEvents int            // events since the last router checkpoint
-	layout       *journal.Layout // the opened journal layout; nil when volatile
-
-	clusters     *unionfind.Growable // global clustering, gid space (n>1)
-	round        int
-	resolvedUpTo int // gid-space watermark of the last resolve
 
 	snap atomic.Pointer[Snapshot]
 }
@@ -91,8 +73,42 @@ type Group struct {
 type shardState struct {
 	id  int
 	eng *incremental.Engine
-	q   *opQueue // single-owner op queue: the only goroutine touching eng
+	log *log     // nil when volatile
+	q   *opQueue // single-owner op queue: the only goroutine touching eng and log
 	ack *opQueue // FIFO acknowledgment dispatcher for pipelined commits
+}
+
+// commit is the write sequence of a queued shard mutation: log the
+// event, fold it into the engine, run the checkpoint cadence. The
+// engine applies before the event is durable (local id assignment is
+// order-dependent, so apply cannot wait for the fsync); the returned
+// channel resolves once it is, and only then may the mutation be
+// acknowledged.
+func (s *shardState) commit(ev journal.Event) (<-chan error, error) {
+	wait, err := s.log.AppendAsync(ev)
+	if err != nil {
+		return nil, err
+	}
+	return wait, s.applyLogged(ev)
+}
+
+// commitSync is commit for a barrier holder, whose event must be
+// durable before anything depends on it (WAL discipline).
+func (s *shardState) commitSync(ev journal.Event) error {
+	if err := s.log.Append(ev); err != nil {
+		return err
+	}
+	return s.applyLogged(ev)
+}
+
+// applyLogged folds an event the log already holds into the engine and
+// runs the checkpoint cadence.
+func (s *shardState) applyLogged(ev journal.Event) error {
+	if err := s.eng.Apply(ev); err != nil {
+		return err
+	}
+	s.log.autoCheckpoint()
+	return nil
 }
 
 // New returns a volatile group: shard state lives only in memory.
@@ -126,44 +142,28 @@ func Open(cfg Config, tree journal.Tree) (*Group, error) {
 // newGroup builds the group, recovering from layout when non-nil. The
 // queue goroutines are not yet running.
 func newGroup(cfg Config, layout *journal.Layout) (*Group, error) {
-	if cfg.Shards == 0 {
-		cfg.Shards = 1
+	st, err := newState(cfg)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Shards < 1 || cfg.Shards > journal.MaxShards {
-		return nil, fmt.Errorf("shard: shard count %d outside [1,%d]", cfg.Shards, journal.MaxShards)
-	}
-	g := &Group{
-		cfg:      cfg,
-		n:        cfg.Shards,
-		xans:     make(map[record.Pair]float64),
-		xsrc:     make(map[record.Pair]string),
-		clusters: &unionfind.Growable{},
-	}
+	g := &Group{cfg: cfg, st: st, layout: layout}
 	g.intakeOK = sync.NewCond(&g.mu)
-	if g.n > 1 {
+	if st.n > 1 {
 		g.probe = blocking.NewIncrementalIndex(cfg.Engine.EffectiveTau())
 	}
-	g.shards = make([]*shardState, g.n)
-	g.gids = make([][]int, g.n)
-	g.stats = make([]ShardStats, g.n)
+	g.shards = make([]*shardState, st.n)
+	g.stats = make([]ShardStats, st.n)
 	for i := range g.shards {
-		g.shards[i] = &shardState{id: i, q: newOpQueue(), ack: newOpQueue()}
+		g.shards[i] = &shardState{id: i, eng: st.engines[i], q: newOpQueue(), ack: newOpQueue()}
 	}
-	g.layout = layout
-	if layout == nil {
-		for _, s := range g.shards {
-			s.eng = incremental.New(cfg.Engine)
-		}
-	} else if err := g.recover(layout); err != nil {
-		for _, s := range g.shards {
-			if s.eng != nil {
-				s.eng.Close()
+	if layout != nil {
+		if err := g.recover(layout); err != nil {
+			for _, s := range g.shards {
+				s.log.Close()
 			}
-		}
-		if g.router != nil {
 			g.router.Close()
+			return nil, err
 		}
-		return nil, err
 	}
 	g.refreshStatsLocked()
 	g.publishSnapshotLocked()
@@ -178,11 +178,6 @@ func (g *Group) refreshStatsLocked() {
 	}
 }
 
-// statsOf reads one engine's occupancy; the caller must own the engine.
-func statsOf(e *incremental.Engine) ShardStats {
-	return ShardStats{Records: e.Len(), PendingPairs: e.PendingPairs(), Answers: e.AnswerCount()}
-}
-
 // start launches the shard queue and acknowledgment goroutines.
 func (g *Group) start() {
 	for _, s := range g.shards {
@@ -192,7 +187,7 @@ func (g *Group) start() {
 }
 
 // Shards returns the shard count.
-func (g *Group) Shards() int { return g.n }
+func (g *Group) Shards() int { return g.st.n }
 
 // usableLocked rejects operations on a closed or failed group.
 func (g *Group) usableLocked() error {
@@ -217,14 +212,14 @@ func (g *Group) awaitIntakeLocked() error {
 // homeShard returns the shard owning the record's minimum normalized
 // token. Tokenless records go to shard 0.
 func (g *Group) homeShard(text string) int {
-	if g.n == 1 {
+	if g.st.n == 1 {
 		return 0
 	}
 	toks := record.SortedTokens(text)
 	if len(toks) == 0 {
 		return 0
 	}
-	return ownerOf(toks[0], g.n)
+	return ownerOf(toks[0], g.st.n)
 }
 
 // ownerOf maps a token to its owning shard by FNV-1a hash.
@@ -253,27 +248,23 @@ func (g *Group) Add(recs ...incremental.Record) ([]int, error) {
 	}
 	for _, r := range recs {
 		r := r
-		gid := g.nextGID
-		g.nextGID++
 		text := record.New(0, r.Fields).Text()
 		sid := g.homeShard(text)
-		g.home = append(g.home, sid)
-		g.local = append(g.local, -1)
+		r.GID = g.st.reserveGID(sid)
 		if g.probe != nil {
 			// The probe index is fed in gid order inside the serial
 			// section, so every emitted pair's earlier endpoint is
 			// already routed; pairs whose endpoints live on different
 			// shards are the ones no shard can discover on its own.
 			for _, sp := range g.probe.Add(text) {
-				if g.home[int(sp.Pair.Lo)] != sid {
+				if g.st.home[int(sp.Pair.Lo)] != sid {
 					g.handoff = append(g.handoff, sp)
 				}
 			}
 		}
-		r.GID = gid
 		s := g.shards[sid]
 		done := make(chan error, 1)
-		acks = append(acks, ack{gid: gid, done: done})
+		acks = append(acks, ack{gid: r.GID, done: done})
 		// Two phases: the queue op appends + applies without blocking
 		// on the fsync, so the queue goroutine moves straight on to the
 		// next record and the journal's committer batches their events
@@ -281,27 +272,10 @@ func (g *Group) Add(recs ...incremental.Record) ([]int, error) {
 		// so acknowledgment order matches append order — waits for the
 		// group sync and only then exposes the gid as live.
 		s.q.push(func() {
-			lid, wait, err := s.eng.AddBuffered(r)
+			ev := incremental.RecordEvent(s.eng.Len(), r)
+			wait, err := s.commit(ev)
 			st := statsOf(s.eng)
-			s.ack.push(func() {
-				aerr := err
-				if aerr == nil {
-					aerr = <-wait
-				}
-				if aerr == nil {
-					g.mu.Lock()
-					if lid != len(g.gids[s.id]) {
-						aerr = fmt.Errorf("shard %d: local id %d out of order (expected %d)", s.id, lid, len(g.gids[s.id]))
-					} else {
-						g.local[gid] = lid
-						g.gids[s.id] = append(g.gids[s.id], gid)
-						g.stats[s.id] = st
-						g.publishSnapshotLocked()
-					}
-					g.mu.Unlock()
-				}
-				done <- aerr
-			})
+			s.ack.push(func() { done <- g.acked(s, ev, wait, err, st) })
 		})
 	}
 	g.mu.Unlock()
@@ -322,6 +296,27 @@ func (g *Group) Add(recs ...incremental.Record) ([]int, error) {
 	return ids, nil
 }
 
+// acked finishes a queued shard mutation on the shard's ack queue: it
+// waits out the event's durability and then, under mu, folds the
+// event's routing half, refreshes the shard's stats mirror and
+// publishes. err is the commit's immediate error, if any.
+func (g *Group) acked(s *shardState, ev journal.Event, wait <-chan error, err error, st ShardStats) error {
+	if err == nil {
+		err = <-wait
+	}
+	if err != nil {
+		return err
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if err := g.st.routeShard(s.id, ev); err != nil {
+		return err
+	}
+	g.stats[s.id] = st
+	g.publishSnapshotLocked()
+	return nil
+}
+
 // ValidateAnswer checks whether (lo,hi,fc) — in global ids — is an
 // answer AddAnswer would accept, without changing any state.
 func (g *Group) ValidateAnswer(lo, hi int, fc float64) error {
@@ -331,10 +326,10 @@ func (g *Group) ValidateAnswer(lo, hi int, fc float64) error {
 }
 
 func (g *Group) validateAnswerLocked(lo, hi int, fc float64) error {
-	if lo < 0 || lo >= hi || hi >= g.nextGID {
-		return fmt.Errorf("shard: answer pair (%d,%d) outside the record universe [0,%d)", lo, hi, g.nextGID)
+	if lo < 0 || lo >= hi || hi >= g.st.nextGID {
+		return fmt.Errorf("shard: answer pair (%d,%d) outside the record universe [0,%d)", lo, hi, g.st.nextGID)
 	}
-	if g.local[lo] < 0 || g.local[hi] < 0 {
+	if !g.st.live(lo) || !g.st.live(hi) {
 		return fmt.Errorf("shard: answer pair (%d,%d) references an unknown record", lo, hi)
 	}
 	if fc < 0 || fc > 1 || fc != fc {
@@ -357,87 +352,53 @@ func (g *Group) AddAnswer(lo, hi int, fc float64, source string) error {
 		g.mu.Unlock()
 		return err
 	}
-	sLo, sHi := g.home[lo], g.home[hi]
-	if sLo == sHi {
-		s := g.shards[sLo]
-		llo, lhi := g.local[lo], g.local[hi]
-		done := make(chan error, 1)
-		// Same two-phase shape as Add: append + apply on the queue
-		// goroutine, acknowledgment after the commit group syncs.
-		s.q.push(func() {
-			wait, err := s.eng.AddAnswerBuffered(llo, lhi, fc, source)
-			st := statsOf(s.eng)
-			s.ack.push(func() {
-				aerr := err
-				if aerr == nil {
-					aerr = <-wait
-				}
-				if aerr == nil {
-					g.mu.Lock()
-					g.stats[s.id] = st
-					g.publishSnapshotLocked()
-					g.mu.Unlock()
-				}
-				done <- aerr
-			})
-		})
-		g.mu.Unlock()
-		return <-done
+	p := record.MakePair(record.ID(lo), record.ID(hi))
+	sid, lp, same := g.st.sameShard(p)
+	if !same {
+		defer g.mu.Unlock()
+		return g.crossAnswerLocked(p, fc, source)
 	}
-	defer g.mu.Unlock()
-	return g.cacheCrossAnswerLocked(record.MakePair(record.ID(lo), record.ID(hi)), fc, source, true)
-}
-
-// cacheCrossAnswerLocked stores a cross-shard answer at the router,
-// journaling it first (WAL discipline) when asked to. Keep-first.
-func (g *Group) cacheCrossAnswerLocked(p record.Pair, fc float64, source string, journalIt bool) error {
-	if _, known := g.xans[p]; known {
-		return nil
-	}
-	if journalIt {
-		if err := g.routerAppendLocked(journal.Event{Type: journal.EventAnswer, Answer: &journal.AnswerData{
-			Lo: int(p.Lo), Hi: int(p.Hi), FC: fc, Source: source,
-		}}); err != nil {
-			return err
+	s := g.shards[sid]
+	done := make(chan error, 1)
+	// Same two-phase shape as Add: append + apply on the queue
+	// goroutine, acknowledgment after the commit group syncs.
+	s.q.push(func() {
+		ev := incremental.AnswerEvent(lp, fc, source)
+		wait, err := durable, error(nil)
+		if _, known := s.eng.Answer(int(lp.Lo), int(lp.Hi)); !known {
+			wait, err = s.commit(ev)
 		}
-	}
-	g.xans[p] = fc
-	g.xord = append(g.xord, p)
-	if source != "" {
-		g.xsrc[p] = source
-	}
-	if journalIt {
-		g.publishSnapshotLocked()
-	}
-	return nil
+		st := statsOf(s.eng)
+		s.ack.push(func() { done <- g.acked(s, ev, wait, err, st) })
+	})
+	g.mu.Unlock()
+	return <-done
 }
 
-// routerAppendLocked journals one router event; a no-op when volatile.
-func (g *Group) routerAppendLocked(ev journal.Event) error {
-	if g.router == nil {
+// crossAnswerLocked caches a cross-shard answer at the router, logging
+// it first (WAL discipline). Keep-first.
+func (g *Group) crossAnswerLocked(p record.Pair, fc float64, source string) error {
+	if _, known := g.st.xans[p]; known {
 		return nil
 	}
-	if _, err := g.router.Append(ev); err != nil {
+	ev := incremental.AnswerEvent(p, fc, source)
+	if err := g.router.Append(ev); err != nil {
 		return err
 	}
-	g.routerEvents++
+	if err := g.st.applyRouter(ev); err != nil {
+		return err
+	}
+	g.publishSnapshotLocked()
 	return nil
-}
-
-// globalPair translates a shard-local pair to global ids. Global ids
-// are assigned in arrival order, so within one shard the local order
-// and the gid order agree and Lo/Hi survive translation.
-func (g *Group) globalPair(sid int, p record.Pair) record.Pair {
-	return record.MakePair(record.ID(g.gids[sid][int(p.Lo)]), record.ID(g.gids[sid][int(p.Hi)]))
 }
 
 // barrier blocks intake, waits for every shard queue to drain, flushes
-// every engine's commit group, and waits for the ack queues to finish
-// their bookkeeping, then takes mu. The caller must call release when
-// done. While the barrier holds, shard engines are quiescent, every
-// applied event is durable, and every durable record is visible in the
-// gid maps — without the flush + ack drain, a resolve could see
-// records applied in an engine but still holes in g.local, and lift
+// every shard log's commit group, and waits for the ack queues to
+// finish their bookkeeping, then takes mu. The caller must call release
+// when done. While the barrier holds, shard engines are quiescent,
+// every applied event is durable, and every durable record is visible
+// in the gid maps — without the flush + ack drain, a resolve could see
+// records applied in an engine but still holes in the id maps, and lift
 // their clusters out of range.
 func (g *Group) barrier() error {
 	g.mu.Lock()
@@ -455,7 +416,7 @@ func (g *Group) barrier() error {
 	}
 	var flushErr error
 	for _, s := range g.shards {
-		if err := s.eng.Flush(); err != nil && flushErr == nil {
+		if err := s.log.Flush(); err != nil && flushErr == nil {
 			flushErr = fmt.Errorf("shard %d flush: %w", s.id, err)
 		}
 	}
@@ -489,58 +450,46 @@ func (g *Group) release() {
 // Resolve folds all pending work — every shard's candidate pairs plus
 // the cross-shard handoff queue — into the global clustering with one
 // RunResolve pass, exactly the pass a single engine holding all the
-// records would run. The effect is journaled router-first, then fanned
-// out to each shard's journal; recovery repairs a crash between the
-// two. ctx cancels the pass mid-crowd-iteration, leaving all state as
-// before the call (answers already received stay cached).
+// records would run. The effect is logged router-first, then fanned out
+// to each shard's journal; recovery repairs a crash between the two.
+// ctx cancels the pass mid-crowd-iteration, leaving all state as before
+// the call (answers already received stay cached).
 func (g *Group) Resolve(ctx context.Context) (incremental.ResolveStats, error) {
 	if err := g.barrier(); err != nil {
 		return incremental.ResolveStats{}, err
 	}
 	defer g.release()
 
-	if g.n == 1 {
-		// One shard is a single engine; its own resolve path already
-		// journals answers and the effect into the shard journal.
-		s := g.shards[0]
-		st, err := s.eng.Resolve(ctx)
-		if err == nil {
-			g.round = s.eng.Round()
-			g.resolvedUpTo = g.nextGID
-			g.clusters = forestOf(g.liftClusters(s.eng.Clusters(), 0), g.nextGID)
-		}
-		return st, err
-	}
-
-	n := g.nextGID
+	st := g.st
+	n := st.nextGID
 	pend := make([]blocking.ScoredPair, 0)
 	for _, s := range g.shards {
 		for _, sp := range s.eng.PendingScored() {
-			pend = append(pend, blocking.ScoredPair{Pair: g.globalPair(s.id, sp.Pair), Score: sp.Score})
+			pend = append(pend, blocking.ScoredPair{Pair: st.globalPair(s.id, sp.Pair), Score: sp.Score})
 		}
 	}
 	for _, sp := range g.handoff {
 		// A hole endpoint means the record was never acked: the pair
 		// must not become a candidate (the record does not exist).
-		if g.local[int(sp.Pair.Lo)] >= 0 && g.local[int(sp.Pair.Hi)] >= 0 {
+		if st.live(int(sp.Pair.Lo)) && st.live(int(sp.Pair.Hi)) {
 			pend = append(pend, sp)
 		}
 	}
-	answered := append([]record.Pair(nil), g.xord...)
+	answered := append([]record.Pair(nil), st.xord...)
 	for _, s := range g.shards {
 		for _, p := range s.eng.AnsweredPairs() {
-			answered = append(answered, g.globalPair(s.id, p))
+			answered = append(answered, st.globalPair(s.id, p))
 		}
 	}
 
 	clusters, stats, err := incremental.RunResolve(g.cfg.Engine, incremental.ResolveState{
 		N:            n,
-		Round:        g.round + 1,
-		ResolvedUpTo: g.resolvedUpTo,
-		Clusters:     g.clusters,
+		Round:        st.round + 1,
+		ResolvedUpTo: st.resolvedUpTo,
+		Clusters:     st.clusters,
 		Pending:      pend,
 		Answered:     answered,
-		Answer:       g.lookupAnswerLocked,
+		Answer:       st.lookupAnswer,
 		Sink:         g.sinkAnswerLocked,
 		Ctx:          ctx,
 	})
@@ -553,13 +502,12 @@ func (g *Group) Resolve(ctx context.Context) (incremental.ResolveStats, error) {
 	// leaves lagging shards, which recovery repairs from the router's
 	// record — the reverse order could lose the global clustering with
 	// shards already advanced, which nothing could repair.
-	if err := g.routerAppendLocked(journal.Event{Type: journal.EventResolve, Resolve: &journal.ResolveData{
-		Round: stats.Round, ResolvedUpTo: n, Clusters: clusters,
-	}}); err != nil {
+	ev := incremental.ResolveEvent(stats.Round, n, clusters)
+	if err := g.router.Append(ev); err != nil {
 		return stats, err
 	}
 	for _, s := range g.shards {
-		if err := s.eng.ApplyResolve(stats.Round, g.restrictClusters(clusters, s.id)); err != nil {
+		if err := s.commitSync(incremental.ResolveEvent(stats.Round, s.eng.Len(), st.restrictClusters(clusters, s.id))); err != nil {
 			// Some shards committed, some did not: in-memory state can
 			// no longer be trusted to match any journal. Fail sticky;
 			// recovery reconciles from the router journal.
@@ -567,125 +515,28 @@ func (g *Group) Resolve(ctx context.Context) (incremental.ResolveStats, error) {
 			return stats, g.failed
 		}
 	}
-
-	g.clusters = forestOf(clusters, n)
-	g.round = stats.Round
-	g.resolvedUpTo = n
-	g.handoff = nil // every handoff pair has Hi < n and is now covered
-	if err := g.routerMaybeCheckpointLocked(); err != nil {
+	if err := st.applyRouter(ev); err != nil {
+		g.failed = err
 		return stats, err
 	}
+	g.handoff = nil // every handoff pair has Hi < n and is now covered
+	g.router.autoCheckpoint()
 	return stats, nil
 }
 
-// lookupAnswerLocked finds a cached answer for a global pair: the
-// router's cross-shard cache, or the home shard's when both ends live
-// together.
-func (g *Group) lookupAnswerLocked(p record.Pair) (float64, bool) {
-	if fc, ok := g.xans[p]; ok {
-		return fc, true
-	}
-	lo, hi := int(p.Lo), int(p.Hi)
-	if g.local[lo] < 0 || g.local[hi] < 0 {
-		return 0, false
-	}
-	if g.home[lo] != g.home[hi] {
-		return 0, false
-	}
-	return g.shards[g.home[lo]].eng.Answer(g.local[lo], g.local[hi])
-}
-
 // sinkAnswerLocked routes one fresh resolve answer to its durable home:
-// the owning shard's journal for same-shard pairs (the engine caches
-// and journals it), the router journal otherwise. Safe to call only
-// under a barrier (shard queues drained).
+// the owning shard's journal for same-shard pairs, the router journal
+// otherwise. Safe to call only under a barrier (shard queues drained).
 func (g *Group) sinkAnswerLocked(p record.Pair, fc float64, source string) error {
-	lo, hi := int(p.Lo), int(p.Hi)
-	if g.local[lo] >= 0 && g.local[hi] >= 0 && g.home[lo] == g.home[hi] {
-		return g.shards[g.home[lo]].eng.AddAnswer(g.local[lo], g.local[hi], fc, source)
+	sid, lp, same := g.st.sameShard(p)
+	if !same {
+		return g.crossAnswerLocked(p, fc, source)
 	}
-	return g.cacheCrossAnswerLocked(p, fc, source, true)
-}
-
-// liftClusters translates one shard's local-id clustering into global
-// ids — the inverse of restrictClusters. Gid order preserves local
-// order within a shard, so canonical form survives the lift.
-func (g *Group) liftClusters(clusters [][]int, sid int) [][]int {
-	out := make([][]int, len(clusters))
-	for i, set := range clusters {
-		lifted := make([]int, len(set))
-		for j, l := range set {
-			lifted[j] = g.gids[sid][l]
-		}
-		out[i] = lifted
+	s := g.shards[sid]
+	if _, known := s.eng.Answer(int(lp.Lo), int(lp.Hi)); known {
+		return nil // the session never re-asks, but stay idempotent anyway
 	}
-	return out
-}
-
-// restrictClusters projects a global clustering onto one shard's local
-// id space, dropping other shards' members and hole gids.
-func (g *Group) restrictClusters(clusters [][]int, sid int) [][]int {
-	var out [][]int
-	for _, set := range clusters {
-		var loc []int
-		for _, gid := range set {
-			if g.home[gid] == sid && g.local[gid] >= 0 {
-				loc = append(loc, g.local[gid])
-			}
-		}
-		if len(loc) > 0 {
-			out = append(out, loc)
-		}
-	}
-	return out
-}
-
-// forestOf builds a union-find over n elements from a cluster listing.
-func forestOf(clusters [][]int, n int) *unionfind.Growable {
-	uf := &unionfind.Growable{}
-	uf.Grow(n)
-	for _, set := range clusters {
-		for _, m := range set[1:] {
-			uf.Union(set[0], m)
-		}
-	}
-	return uf
-}
-
-// routerMaybeCheckpointLocked compacts the router journal once enough
-// events accumulate, mirroring the per-engine checkpoint cadence.
-func (g *Group) routerMaybeCheckpointLocked() error {
-	if g.router == nil || g.cfg.Engine.CheckpointEvery <= 0 || g.routerEvents < g.cfg.Engine.CheckpointEvery {
-		return nil
-	}
-	return g.routerCheckpointLocked()
-}
-
-// routerCheckpointLocked writes the router's compacted state: the
-// cross-shard answer cache and the latest global clustering.
-func (g *Group) routerCheckpointLocked() error {
-	if g.router == nil {
-		return nil
-	}
-	answers := make([]journal.AnswerData, 0, len(g.xord))
-	for _, p := range g.xord {
-		answers = append(answers, journal.AnswerData{
-			Lo: int(p.Lo), Hi: int(p.Hi), FC: g.xans[p], Source: g.xsrc[p],
-		})
-	}
-	g.clusters.Grow(g.nextGID)
-	cp := &journal.Checkpoint{
-		Seq:          g.router.NextSeq() - 1,
-		Round:        g.round,
-		ResolvedUpTo: g.resolvedUpTo,
-		Answers:      answers,
-		Clusters:     g.clusters.Sets(g.nextGID),
-	}
-	if err := g.router.WriteCheckpoint(cp); err != nil {
-		return err
-	}
-	g.routerEvents = 0
-	return nil
+	return s.commitSync(incremental.AnswerEvent(lp, fc, source))
 }
 
 // Checkpoint drains all shards and writes a compacted snapshot to every
@@ -696,11 +547,11 @@ func (g *Group) Checkpoint() error {
 	}
 	defer g.release()
 	for _, s := range g.shards {
-		if err := s.eng.Checkpoint(); err != nil {
+		if err := s.log.Checkpoint(); err != nil {
 			return fmt.Errorf("shard %d checkpoint: %w", s.id, err)
 		}
 	}
-	return g.routerCheckpointLocked()
+	return g.router.Checkpoint()
 }
 
 // Close drains every shard, stops the queue goroutines, and closes all
@@ -718,20 +569,17 @@ func (g *Group) Close() error {
 	var first error
 	for _, s := range g.shards {
 		s.q.close() // drains queued ops, then the goroutine exits
-		// Closing the engine flushes its committer, resolving every
+		// Closing the log flushes its committer, resolving every
 		// outstanding ack wait — only then can the ack queue drain.
-		if err := s.eng.Close(); err != nil && first == nil {
+		if err := s.log.Close(); err != nil && first == nil {
 			first = err
 		}
 		s.ack.close()
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.router != nil {
-		if err := g.router.Close(); err != nil && first == nil {
-			first = err
-		}
-		g.router = nil
+	if err := g.router.Close(); err != nil && first == nil {
+		first = err
 	}
 	return first
 }

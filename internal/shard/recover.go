@@ -8,162 +8,48 @@ import (
 	"acd/internal/record"
 )
 
-// recover rebuilds the group from a sharded journal layout: each shard
-// engine recovers from its own journal, the router journal supplies
-// cross-shard answers and the authoritative global resolve history,
-// the global id maps are re-derived from the GIDs stored in shard
-// journals, and the probe index + handoff queue are recomputed from
-// the records themselves (they are pure functions of the record
-// stream, so they are never journaled). Shards that crashed between
-// the router's resolve commit and their own are repaired from the
-// router's record.
+// recover rebuilds the group from a sharded journal layout by opening
+// each journal's log and folding what it held into the state — the same
+// fold the live write path and a Standby run. Then it recomputes what
+// is derived rather than journaled (the probe index and handoff queue
+// are pure functions of the record stream) and repairs shards that
+// crashed between the router's resolve commit and their own.
 func (g *Group) recover(layout *journal.Layout) error {
+	st, cfg := g.st, g.cfg.Engine
+	st.legacy = layout.Legacy
 	for i, s := range g.shards {
-		eng, err := incremental.Open(g.cfg.Engine, layout.ShardFS[i])
+		lg, rec, err := openLog(layout.ShardFS[i], journal.Options{RotateBytes: cfg.RotateBytes, Obs: cfg.Obs}, cfg.Commit, cfg, s.eng.Snapshot)
 		if err != nil {
 			return fmt.Errorf("shard: recovering shard %d: %w", i, err)
 		}
-		s.eng = eng
-	}
-
-	// Re-derive the global id maps. The stored assignment is
-	// authoritative — it must survive even if the routing hash ever
-	// changes — and within a shard gids must ascend, because arrival
-	// order is what keeps local order and gid order aligned.
-	type loc struct{ sid, lid int }
-	byGID := make(map[int]loc)
-	maxGID := -1
-	for _, s := range g.shards {
-		prev := -1
-		for l := 0; l < s.eng.Len(); l++ {
-			gid := s.eng.Record(l).GID
-			if g.n == 1 && layout.Legacy {
-				gid = l // pre-sharding journals carry no gids
-			}
-			if gid <= prev {
-				return fmt.Errorf("shard: shard %d record %d has gid %d, not above predecessor %d", s.id, l, gid, prev)
-			}
-			if other, dup := byGID[gid]; dup {
-				return fmt.Errorf("shard: gid %d claimed by shard %d record %d and shard %d record %d", gid, other.sid, other.lid, s.id, l)
-			}
-			byGID[gid] = loc{sid: s.id, lid: l}
-			prev = gid
-			if gid > maxGID {
-				maxGID = gid
-			}
-		}
-	}
-
-	// Router journal: cross-shard answers and the global resolve
-	// history. Single-shard groups have neither — the one engine's own
-	// journal is the complete history.
-	var globalClusters [][]int
-	if g.n > 1 {
-		store, recovered, err := journal.Open(layout.RouterFS)
-		if err != nil {
-			return fmt.Errorf("shard: recovering router journal: %w", err)
-		}
-		g.router = store
-		if cp := recovered.Checkpoint; cp != nil {
-			if len(cp.Records) != 0 {
-				return fmt.Errorf("shard: router checkpoint holds %d records; the router owns none", len(cp.Records))
-			}
-			g.round = cp.Round
-			g.resolvedUpTo = cp.ResolvedUpTo
-			globalClusters = cp.Clusters
-			for _, a := range cp.Answers {
-				p := record.MakePair(record.ID(a.Lo), record.ID(a.Hi))
-				if err := g.cacheCrossAnswerLocked(p, a.FC, a.Source, false); err != nil {
-					return err
-				}
-			}
-		}
-		for _, ev := range recovered.Events {
-			switch ev.Type {
-			case journal.EventAnswer:
-				if ev.Answer == nil {
-					return fmt.Errorf("shard: router event %d: answer without payload", ev.Seq)
-				}
-				p := record.MakePair(record.ID(ev.Answer.Lo), record.ID(ev.Answer.Hi))
-				if err := g.cacheCrossAnswerLocked(p, ev.Answer.FC, ev.Answer.Source, false); err != nil {
-					return err
-				}
-			case journal.EventResolve:
-				if ev.Resolve == nil {
-					return fmt.Errorf("shard: router event %d: resolve without payload", ev.Seq)
-				}
-				g.round = ev.Resolve.Round
-				g.resolvedUpTo = ev.Resolve.ResolvedUpTo
-				globalClusters = ev.Resolve.Clusters
-			default:
-				return fmt.Errorf("shard: router event %d: unexpected type %q", ev.Seq, ev.Type)
-			}
+		s.log = lg
+		if err := st.fold(i, rec.Checkpoint, rec.Events); err != nil {
+			return fmt.Errorf("shard: recovering shard %d: %w", i, err)
 		}
 	}
 
 	// The id space covers every stored gid and everything the resolve
 	// history claims to have covered; ids in neither are permanent
 	// holes (records that were routed but whose WAL append never
-	// became durable — they were never acknowledged).
-	g.nextGID = maxGID + 1
-	if g.resolvedUpTo > g.nextGID {
-		g.nextGID = g.resolvedUpTo
+	// became durable — they were never acknowledged). A clustering
+	// that names an id beyond both does not belong to these journals.
+	stored := st.nextGID
+	if !st.routerless() {
+		lg, rec, err := openLog(layout.RouterFS, journal.Options{}, journal.GroupPolicy{}, cfg, st.routerCheckpoint)
+		if err != nil {
+			return fmt.Errorf("shard: recovering router journal: %w", err)
+		}
+		g.router = lg
+		if err := st.fold(-1, rec.Checkpoint, rec.Events); err != nil {
+			return fmt.Errorf("shard: recovering router journal: %w", err)
+		}
 	}
-	g.home = make([]int, g.nextGID)
-	g.local = make([]int, g.nextGID)
-	for gid := range g.local {
-		g.local[gid] = -1
-	}
-	for gid, at := range byGID {
-		g.home[gid] = at.sid
-		g.local[gid] = at.lid
-	}
-	for _, s := range g.shards {
-		g.gids[s.id] = make([]int, s.eng.Len())
-	}
-	for gid, at := range byGID {
-		g.gids[at.sid][at.lid] = gid
+	if universe := max(stored, st.resolvedUpTo); st.nextGID > universe {
+		return fmt.Errorf("shard: router clusters reference gid %d outside universe [0,%d)", st.nextGID-1, universe)
 	}
 
-	if g.n == 1 {
-		s := g.shards[0]
-		g.round = s.eng.Round()
-		if s.eng.ResolvedUpTo() < s.eng.Len() {
-			g.resolvedUpTo = g.gids[0][s.eng.ResolvedUpTo()]
-		} else {
-			g.resolvedUpTo = g.nextGID
-		}
-		g.clusters = forestOf(g.liftClusters(s.eng.Clusters(), 0), g.nextGID)
-		return nil
-	}
-
-	for _, set := range globalClusters {
-		for _, gid := range set {
-			if gid < 0 || gid >= g.nextGID {
-				return fmt.Errorf("shard: router clusters reference gid %d outside universe [0,%d)", gid, g.nextGID)
-			}
-		}
-	}
-	g.clusters = forestOf(globalClusters, g.nextGID)
-
-	// Rebuild the probe index and handoff queue by replaying the
-	// record stream in gid order; holes contribute an empty text (no
-	// tokens, no pairs), which keeps the index ids aligned with gids.
-	for gid := 0; gid < g.nextGID; gid++ {
-		text := ""
-		if g.local[gid] >= 0 {
-			data := g.shards[g.home[gid]].eng.Record(g.local[gid])
-			text = record.New(0, data.Fields).Text()
-		}
-		for _, sp := range g.probe.Add(text) {
-			lo, hi := int(sp.Pair.Lo), int(sp.Pair.Hi)
-			if g.local[lo] < 0 || g.local[hi] < 0 || g.home[lo] == g.home[hi] {
-				continue
-			}
-			if hi >= g.resolvedUpTo {
-				g.handoff = append(g.handoff, sp)
-			}
-		}
+	if g.probe != nil {
+		g.rebuildProbe()
 	}
 
 	// Repair shards that lost the fan-out of the last resolve: the
@@ -171,15 +57,40 @@ func (g *Group) recover(layout *journal.Layout) error {
 	// to the lagging shard's journal. A shard ahead of the router is
 	// impossible under the commit order (router first) — it means the
 	// journals do not belong together.
+	var global [][]int
 	for _, s := range g.shards {
 		switch {
-		case s.eng.Round() > g.round:
-			return fmt.Errorf("shard: shard %d at round %d is ahead of the router (round %d)", s.id, s.eng.Round(), g.round)
-		case s.eng.Round() < g.round:
-			if err := s.eng.ApplyResolve(g.round, g.restrictClusters(globalClusters, s.id)); err != nil {
-				return fmt.Errorf("shard: repairing shard %d to round %d: %w", s.id, g.round, err)
+		case s.eng.Round() > st.round:
+			return fmt.Errorf("shard: shard %d at round %d is ahead of the router (round %d)", s.id, s.eng.Round(), st.round)
+		case s.eng.Round() < st.round:
+			if global == nil {
+				global = st.clusters.Sets(st.nextGID)
+			}
+			if err := s.commitSync(incremental.ResolveEvent(st.round, s.eng.Len(), st.restrictClusters(global, s.id))); err != nil {
+				return fmt.Errorf("shard: repairing shard %d to round %d: %w", s.id, st.round, err)
 			}
 		}
 	}
 	return nil
+}
+
+// rebuildProbe recomputes the probe index and handoff queue by
+// replaying the record stream in gid order; holes contribute an empty
+// text (no tokens, no pairs), which keeps the index ids aligned with
+// gids.
+func (g *Group) rebuildProbe() {
+	st := g.st
+	for gid := 0; gid < st.nextGID; gid++ {
+		text := ""
+		if st.live(gid) {
+			data := st.engines[st.home[gid]].Record(st.local[gid])
+			text = record.New(0, data.Fields).Text()
+		}
+		for _, sp := range g.probe.Add(text) {
+			lo, hi := int(sp.Pair.Lo), int(sp.Pair.Hi)
+			if st.live(lo) && st.live(hi) && st.home[lo] != st.home[hi] && hi >= st.resolvedUpTo {
+				g.handoff = append(g.handoff, sp)
+			}
+		}
+	}
 }

@@ -52,35 +52,13 @@ func (g *Group) Snapshot() *Snapshot { return g.snap.Load() }
 // engine's owner), never from the engines directly: another shard's
 // engine may be mid-append when this runs.
 func (g *Group) publishSnapshotLocked() {
-	snap := &Snapshot{
-		Shards:       g.n,
-		Round:        g.round,
-		ResolvedUpTo: g.resolvedUpTo,
-		PerShard:     append([]ShardStats(nil), g.stats...),
-	}
-	for _, st := range snap.PerShard {
-		snap.Records += st.Records
-		snap.PendingPairs += st.PendingPairs
-		snap.Answers += st.Answers
-	}
-	snap.Answers += len(g.xord)
+	handoff := 0
 	for _, sp := range g.handoff {
-		if g.local[int(sp.Pair.Lo)] >= 0 && g.local[int(sp.Pair.Hi)] >= 0 {
-			snap.PendingPairs++
+		if g.st.live(int(sp.Pair.Lo)) && g.st.live(int(sp.Pair.Hi)) {
+			handoff++
 		}
 	}
-	g.clusters.Grow(g.nextGID)
-	for _, set := range g.clusters.Sets(g.nextGID) {
-		live := make([]int, 0, len(set))
-		for _, gid := range set {
-			if g.local[gid] >= 0 {
-				live = append(live, gid)
-			}
-		}
-		if len(live) > 0 {
-			snap.Clusters = append(snap.Clusters, live)
-		}
-	}
+	snap := g.st.snapshot(g.stats, handoff)
 	g.snap.Store(snap)
 	g.publishGaugesLocked(snap)
 }
@@ -91,7 +69,7 @@ func (g *Group) publishGaugesLocked(snap *Snapshot) {
 	if rec == nil {
 		return
 	}
-	rec.Gauge(GaugeShards, float64(g.n))
+	rec.Gauge(GaugeShards, float64(snap.Shards))
 	rec.Gauge(GaugeHandoffPairs, float64(len(g.handoff)))
 	for i, st := range snap.PerShard {
 		rec.Gauge(ShardGauge(GaugeShardRecords, i), float64(st.Records))

@@ -6,91 +6,35 @@ import (
 
 	"acd/internal/incremental"
 	"acd/internal/journal"
-	"acd/internal/record"
 )
 
-// Standby is a follower's warm replica of a Group: one volatile engine
-// per shard plus the router's global state, advanced one journal event
-// at a time by Apply — the apply-from-stream entry point replication
-// uses. Each event goes through exactly the recovery fold, so a
-// standby's engines are byte-identical to what a leader restart would
-// rebuild at the same sequences. A standby only ever reads and folds;
-// at promotion it is discarded and the follower's own journals are
-// re-opened through the normal recovery path, which recomputes the
-// derived structures (probe index, handoff queue) a standby does not
-// maintain.
+// Standby is a follower's warm replica of a Group: the same folded
+// state a leader holds, advanced one shipped journal event at a time,
+// plus a cursor per journal. Every event goes through exactly the fold
+// leader recovery runs, so a standby's engines are byte-identical to
+// what a leader restart would rebuild at the same sequences. A standby
+// only ever reads and folds; at promotion it is discarded and the
+// follower's own journals are re-opened through the normal recovery
+// path, which also recomputes the derived structures (probe index,
+// handoff queue) a standby does not maintain.
 //
 // Standby is safe for concurrent use: the replication loop applies
 // events while HTTP handlers read snapshots.
 type Standby struct {
-	mu  sync.Mutex
-	cfg Config
-	n   int
-
-	engines []*incremental.Engine
-
-	// Global id space, mirroring Group: local is -1 for ids the
-	// standby has not (yet) seen a record for — in-flight on the
-	// leader, or permanent holes.
-	nextGID int
-	home    []int
-	local   []int
-	gids    [][]int
-
-	// Router state (n > 1): global resolve history plus cross-shard
-	// answer pairs.
-	round        int
-	resolvedUpTo int
-	clusters     [][]int
-	xans         map[record.Pair]bool
-
+	mu      sync.Mutex
+	st      *state
 	applied map[string]int64 // journal name -> last applied seq
 }
 
 // NewStandby returns an empty warm replica shaped like a Group with
 // the same Config. The engine config's journal knobs are ignored —
-// standby engines are always volatile.
+// a standby writes nothing.
 func NewStandby(cfg Config) (*Standby, error) {
-	if cfg.Shards == 0 {
-		cfg.Shards = 1
+	st, err := newState(cfg)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Shards < 1 || cfg.Shards > journal.MaxShards {
-		return nil, fmt.Errorf("shard: shard count %d outside [1,%d]", cfg.Shards, journal.MaxShards)
-	}
-	s := &Standby{
-		cfg:     cfg,
-		n:       cfg.Shards,
-		gids:    make([][]int, cfg.Shards),
-		xans:    make(map[record.Pair]bool),
-		applied: make(map[string]int64),
-	}
-	s.engines = make([]*incremental.Engine, cfg.Shards)
-	for i := range s.engines {
-		s.engines[i] = incremental.New(cfg.Engine)
-	}
-	return s, nil
-}
-
-// shardIndex resolves a journal name to its shard index, -1 for the
-// router.
-func (s *Standby) shardIndex(name string) (int, error) {
-	if name == journal.RouterDir {
-		return -1, nil
-	}
-	for i := 0; i < s.n; i++ {
-		if name == journal.ShardDirName(i) {
-			return i, nil
-		}
-	}
-	return 0, fmt.Errorf("shard: unknown journal %q", name)
-}
-
-// Applied returns the last event sequence folded from the named
-// journal (0 when nothing has been).
-func (s *Standby) Applied(name string) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.applied[name]
+	return &Standby{st: st, applied: make(map[string]int64)}, nil
 }
 
 // Apply folds one replicated event from the named journal into the
@@ -101,19 +45,14 @@ func (s *Standby) Applied(name string) int64 {
 func (s *Standby) Apply(name string, ev journal.Event) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	i, err := s.shardIndex(name)
+	i, err := s.st.journalIndex(name)
 	if err != nil {
 		return err
 	}
 	if last := s.applied[name]; ev.Seq != last+1 {
 		return fmt.Errorf("shard: %s event %d applied after %d", name, ev.Seq, last)
 	}
-	if i < 0 {
-		err = s.applyRouter(ev)
-	} else {
-		err = s.applyShard(i, ev)
-	}
-	if err != nil {
+	if err := s.st.apply(i, ev); err != nil {
 		return err
 	}
 	s.applied[name] = ev.Seq
@@ -122,181 +61,42 @@ func (s *Standby) Apply(name string, ev journal.Event) error {
 
 // ApplyCheckpoint installs a shipped checkpoint from the named journal
 // — the catch-up path when the leader compacted past the follower's
-// cursor. The corresponding engine (or router state) must still be
-// empty: checkpoints replace history, they do not merge into it.
+// cursor. Nothing of that journal may have been applied yet:
+// checkpoints replace history, they do not merge into it.
 func (s *Standby) ApplyCheckpoint(name string, cp *journal.Checkpoint) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	i, err := s.shardIndex(name)
+	i, err := s.st.journalIndex(name)
 	if err != nil {
 		return err
 	}
 	if s.applied[name] != 0 {
 		return fmt.Errorf("shard: %s checkpoint at seq %d after events were applied", name, cp.Seq)
 	}
-	if i < 0 {
-		if err := s.applyRouterCheckpoint(cp); err != nil {
-			return err
-		}
-	} else {
-		if err := s.engines[i].ApplyLoggedCheckpoint(cp); err != nil {
-			return err
-		}
-		for lid, data := range cp.Records {
-			if err := s.registerGID(i, s.gidOf(data), lid); err != nil {
-				return err
-			}
-		}
+	if err := s.st.applyCheckpoint(i, cp); err != nil {
+		return err
 	}
 	s.applied[name] = cp.Seq
 	return nil
 }
 
-// gidOf extracts a record's global id. Single-shard groups assign
-// gid == local id in arrival order, so the id field itself is the gid
-// (this also covers legacy journals, which carry no gids at all).
-func (s *Standby) gidOf(data journal.RecordData) int {
-	if s.n == 1 {
-		return data.ID
-	}
-	return data.GID
-}
-
-func (s *Standby) applyShard(i int, ev journal.Event) error {
-	if err := s.engines[i].ApplyLogged(ev); err != nil {
-		return err
-	}
-	if ev.Type == journal.EventRecordAdded && ev.Record != nil {
-		return s.registerGID(i, s.gidOf(*ev.Record), ev.Record.ID)
-	}
-	return nil
-}
-
-// registerGID claims a global id for shard i's record lid, growing the
-// id space with holes as needed. Within a shard gids ascend with local
-// ids, mirroring recovery's invariant.
-func (s *Standby) registerGID(i, gid, lid int) error {
-	if lid != len(s.gids[i]) {
-		return fmt.Errorf("shard: shard %d record %d arrived after %d records", i, lid, len(s.gids[i]))
-	}
-	if n := len(s.gids[i]); n > 0 && s.gids[i][n-1] >= gid {
-		return fmt.Errorf("shard: shard %d record %d has gid %d, not above predecessor %d", i, lid, gid, s.gids[i][n-1])
-	}
-	s.growGIDs(gid + 1)
-	if s.local[gid] != -1 {
-		return fmt.Errorf("shard: gid %d claimed twice", gid)
-	}
-	s.home[gid] = i
-	s.local[gid] = lid
-	s.gids[i] = append(s.gids[i], gid)
-	return nil
-}
-
-// growGIDs extends the id space to n ids, new ones as holes.
-func (s *Standby) growGIDs(n int) {
-	for s.nextGID < n {
-		s.home = append(s.home, 0)
-		s.local = append(s.local, -1)
-		s.nextGID++
-	}
-}
-
-func (s *Standby) applyRouter(ev journal.Event) error {
-	switch ev.Type {
-	case journal.EventAnswer:
-		if ev.Answer == nil {
-			return fmt.Errorf("shard: router event %d: answer without payload", ev.Seq)
-		}
-		s.xans[record.MakePair(record.ID(ev.Answer.Lo), record.ID(ev.Answer.Hi))] = true
-	case journal.EventResolve:
-		if ev.Resolve == nil {
-			return fmt.Errorf("shard: router event %d: resolve without payload", ev.Seq)
-		}
-		s.round = ev.Resolve.Round
-		s.resolvedUpTo = ev.Resolve.ResolvedUpTo
-		s.clusters = ev.Resolve.Clusters
-		// A resolve may cover gids whose records the standby has not
-		// seen yet (its shard stream lags the router's): they are holes
-		// until the records arrive, exactly as in recovery.
-		s.growGIDs(s.resolvedUpTo)
-	default:
-		return fmt.Errorf("shard: router event %d: unexpected type %q", ev.Seq, ev.Type)
-	}
-	return nil
-}
-
-func (s *Standby) applyRouterCheckpoint(cp *journal.Checkpoint) error {
-	if len(cp.Records) != 0 {
-		return fmt.Errorf("shard: router checkpoint holds %d records; the router owns none", len(cp.Records))
-	}
-	s.round = cp.Round
-	s.resolvedUpTo = cp.ResolvedUpTo
-	s.clusters = cp.Clusters
-	s.growGIDs(s.resolvedUpTo)
-	for _, a := range cp.Answers {
-		s.xans[record.MakePair(record.ID(a.Lo), record.ID(a.Hi))] = true
-	}
-	return nil
-}
-
-// Engine returns shard i's volatile engine for inspection — the
-// replication tests' byte-identity oracle. Callers must not mutate it
-// and must not race it against Apply.
-func (s *Standby) Engine(i int) *incremental.Engine { return s.engines[i] }
+// Engine returns shard i's engine for inspection — the replication
+// tests' byte-identity oracle. Callers must not mutate it and must not
+// race it against Apply.
+func (s *Standby) Engine(i int) *incremental.Engine { return s.st.engines[i] }
 
 // Snapshot computes an immutable view of the replica's state in the
 // same shape a leader Group publishes. It is some prefix-consistent
 // state of the leader: every count and cluster follows from a
 // committed prefix of each journal. PendingPairs excludes the leader's
-// cross-shard handoff queue — the standby does not maintain the probe
+// cross-shard handoff queue — a standby does not maintain the probe
 // index it derives from (promotion recomputes it via recovery).
 func (s *Standby) Snapshot() *Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	snap := &Snapshot{Shards: s.n}
-	for _, e := range s.engines {
-		snap.PerShard = append(snap.PerShard, statsOf(e))
+	perShard := make([]ShardStats, len(s.st.engines))
+	for i, e := range s.st.engines {
+		perShard[i] = statsOf(e)
 	}
-	for _, st := range snap.PerShard {
-		snap.Records += st.Records
-		snap.PendingPairs += st.PendingPairs
-		snap.Answers += st.Answers
-	}
-	snap.Answers += len(s.xans)
-
-	clusters := s.clusters
-	nextGID := s.nextGID
-	if s.n == 1 {
-		e := s.engines[0]
-		snap.Round = e.Round()
-		snap.ResolvedUpTo = e.ResolvedUpTo()
-		clusters = e.Clusters()
-		if e.Len() > nextGID {
-			nextGID = e.Len()
-		}
-	} else {
-		snap.Round = s.round
-		snap.ResolvedUpTo = s.resolvedUpTo
-	}
-	uf := forestOf(clusters, nextGID)
-	for _, set := range uf.Sets(nextGID) {
-		live := make([]int, 0, len(set))
-		for _, gid := range set {
-			if s.liveLocked(gid) {
-				live = append(live, gid)
-			}
-		}
-		if len(live) > 0 {
-			snap.Clusters = append(snap.Clusters, live)
-		}
-	}
-	return snap
-}
-
-// liveLocked reports whether a gid has a durably applied record.
-func (s *Standby) liveLocked(gid int) bool {
-	if s.n == 1 {
-		return gid < s.engines[0].Len()
-	}
-	return gid < len(s.local) && s.local[gid] >= 0
+	return s.st.snapshot(perShard, 0)
 }
