@@ -78,7 +78,8 @@ type Options struct {
 	// Market, when set, routes crowd questions through a simulated
 	// heterogeneous marketplace instead of a single uniform channel. The
 	// value is a fleet spec (see internal/market, e.g.
-	// "fast:1:20:0.12;careful:6:10:0.02;machine:0:0:0.35:machine"):
+	// "fast:1:20:0.12;careful:6:10:0.02;machine:0:0:0.35:machine", or
+	// "default" for the reference mixed fleet):
 	// backends with per-HIT prices, batch sizes, and calibrated error
 	// rates, each answering from crowdFn with its error rate applied.
 	// Every question is bought from the backend whose answer carries the
@@ -182,26 +183,31 @@ func Deduplicate(records []Record, crowdFn CrowdFunc, opts Options) (*Result, er
 		CentsPerHIT: orDefault(opts.CentsPerHIT, 2),
 	}
 	base := func(p record.Pair) float64 { return crowdFn(int(p.Lo), int(p.Hi)) }
-	var inner crowd.Source = crowd.SourceFunc{Fn: base, Setting: cfg}
+	var source crowd.Source = crowd.SourceFunc{Fn: base, Setting: cfg}
 	if opts.Market != "" {
 		backends, err := market.Fleet(opts.Market, base, opts.Seed)
 		if err != nil {
 			return nil, fmt.Errorf("acd: %w", err)
 		}
-		budget := market.Unlimited
-		if opts.MarketBudget > 0 {
-			budget = opts.MarketBudget
-		}
-		inner = market.New(market.Config{
+		source = market.New(market.Config{
 			Backends:     backends,
-			BudgetCents:  budget,
+			BudgetCents:  market.FlagBudget(opts.MarketBudget),
 			Order:        market.OrderConfidence,
 			ShortCircuit: true,
 			Prior:        cands.Score,
 			Seed:         opts.Seed,
 		})
 	}
-	source := &progressSource{inner: inner, onProgress: opts.OnProgress}
+	var observe func([]record.Pair, []float64) error
+	if opts.OnProgress != nil {
+		asked, iterations := 0, 0
+		observe = func(fresh []record.Pair, _ []float64) error {
+			asked += len(fresh)
+			iterations++
+			opts.OnProgress(asked, iterations)
+			return nil
+		}
+	}
 
 	out := core.ACD(cands, source, core.Config{
 		Epsilon:        opts.Epsilon,
@@ -210,6 +216,7 @@ func Deduplicate(records []Record, crowdFn CrowdFunc, opts Options) (*Result, er
 		Seed:           opts.Seed,
 		Obs:            rec,
 		Ctx:            opts.Context,
+		Observe:        observe,
 	})
 	if out.Err != nil {
 		return nil, fmt.Errorf("acd: campaign aborted: %w", out.Err)
@@ -259,92 +266,4 @@ func orDefault(v, def int) int {
 		return def
 	}
 	return v
-}
-
-// progressSource wraps the run's crowd source (the plain crowdFn
-// adapter or a marketplace), counting batches so OnProgress fires once
-// per crowd iteration and forwarding every optional source interface —
-// billing, vote counts, and recorder plumbing — to the wrapped source.
-type progressSource struct {
-	inner      crowd.Source
-	onProgress func(pairsAsked, iterations int)
-	asked      int
-	iterations int
-}
-
-func (s *progressSource) Score(p record.Pair) float64 { return s.inner.Score(p) }
-
-func (s *progressSource) Config() crowd.Config { return s.inner.Config() }
-
-// ScoreBatch implements crowd.BatchSource: each call is one crowd
-// iteration.
-func (s *progressSource) ScoreBatch(pairs []record.Pair) []float64 {
-	var out []float64
-	if b, ok := s.inner.(crowd.BatchSource); ok {
-		out = b.ScoreBatch(pairs)
-	} else {
-		out = make([]float64, len(pairs))
-		for i, p := range pairs {
-			out[i] = s.inner.Score(p)
-		}
-	}
-	s.progress(len(pairs))
-	return out
-}
-
-// ScoreBatchCtx implements crowd.ContextBatchSource when the inner
-// source is cancellable; otherwise it degrades to ScoreBatch.
-func (s *progressSource) ScoreBatchCtx(ctx context.Context, pairs []record.Pair) ([]float64, error) {
-	cb, ok := s.inner.(crowd.ContextBatchSource)
-	if !ok {
-		return s.ScoreBatch(pairs), nil
-	}
-	out, err := cb.ScoreBatchCtx(ctx, pairs)
-	if err != nil {
-		return nil, err
-	}
-	s.progress(len(pairs))
-	return out, nil
-}
-
-func (s *progressSource) progress(n int) {
-	s.asked += n
-	s.iterations++
-	if s.onProgress != nil {
-		s.onProgress(s.asked, s.iterations)
-	}
-}
-
-// Bill implements crowd.Biller by forwarding to the inner source, so a
-// marketplace's real spend reaches the session's accounting.
-func (s *progressSource) Bill() (hits, cents int, ok bool) {
-	if b, ok := s.inner.(crowd.Biller); ok {
-		return b.Bill()
-	}
-	return 0, 0, false
-}
-
-// VoteCount implements crowd.VoteCounter by forwarding to the inner
-// source; without one, the uniform worker count applies.
-func (s *progressSource) VoteCount(p record.Pair) int {
-	if v, ok := s.inner.(crowd.VoteCounter); ok {
-		return v.VoteCount(p)
-	}
-	return s.inner.Config().Workers
-}
-
-// SetRecorder implements crowd.RecorderSetter, pushing the session's
-// recorder down into the wrapped source.
-func (s *progressSource) SetRecorder(rec *obs.Recorder) {
-	if rs, ok := s.inner.(crowd.RecorderSetter); ok {
-		rs.SetRecorder(rec)
-	}
-}
-
-// Recorder implements crowd.RecorderCarrier.
-func (s *progressSource) Recorder() *obs.Recorder {
-	if rc, ok := s.inner.(crowd.RecorderCarrier); ok {
-		return rc.Recorder()
-	}
-	return nil
 }

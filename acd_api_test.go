@@ -1,10 +1,12 @@
 package acd_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"acd"
+	"acd/internal/dataset"
 )
 
 func brandRecords() ([]acd.Record, []int) {
@@ -172,6 +174,53 @@ func TestDeduplicateProgressHook(t *testing.T) {
 	}
 	if lastPairs != res.PairsAsked {
 		t.Errorf("final progress pairs %d != result %d", lastPairs, res.PairsAsked)
+	}
+}
+
+// TestDeduplicateProgressSequencePinned pins the whole OnProgress
+// sequence — "pairsAsked/iterations;" per call — on Restaurant seed 1,
+// over the plain crowd function and over the default marketplace fleet.
+// The hashes were generated at the commit before the progress-counting
+// source wrapper was replaced by a crowd.Session observer, so the hook
+// must fire at the same iterations with the same running totals.
+func TestDeduplicateProgressSequencePinned(t *testing.T) {
+	d := dataset.Restaurant(1)
+	records := make([]acd.Record, len(d.Records))
+	entities := make([]int, len(d.Records))
+	for i, r := range d.Records {
+		records[i] = acd.Record{Fields: r.Fields}
+		entities[i] = r.Entity
+	}
+	for _, want := range []struct {
+		market            string
+		calls, pairs      int
+		hits, cents       int
+		sequenceHash, tag string
+	}{
+		{"", 76, 4319, 254, 508, "f5e0b170222a7cf1e173a45168bac3c3c3eb3d7525e91e6dc32fcdbaffe17cbc", "plain"},
+		{"default", 52, 2622, 154, 154, "65aeee72ad5c8412d1f191b2037a8186309ab184c2e91481b7148d450f1010ca", "default fleet"},
+	} {
+		var seq strings.Builder
+		calls := 0
+		res, err := acd.Deduplicate(records, perfectCrowd(entities), acd.Options{
+			Seed:   1,
+			Market: want.market,
+			OnProgress: func(pairs, iterations int) {
+				calls++
+				fmt.Fprintf(&seq, "%d/%d;", pairs, iterations)
+			},
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", want.tag, err)
+		}
+		if calls != want.calls || res.Iterations != want.calls || res.PairsAsked != want.pairs ||
+			res.HITs != want.hits || res.Cents != want.cents {
+			t.Errorf("%s: %d progress calls, result %d iterations / %d pairs / %d HITs / %d cents; want %d calls, %d pairs, %d HITs, %d cents",
+				want.tag, calls, res.Iterations, res.PairsAsked, res.HITs, res.Cents, want.calls, want.pairs, want.hits, want.cents)
+		}
+		if got := hashString(seq.String()); got != want.sequenceHash {
+			t.Errorf("%s: progress sequence hash %s, want %s\nsequence: %s", want.tag, got, want.sequenceHash, seq.String())
+		}
 	}
 }
 

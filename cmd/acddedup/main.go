@@ -147,13 +147,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 		if faultFlags.Enabled() {
-			fmt.Fprintln(stderr, "acddedup: note: -chaos-*/-crowd-* flags are ignored with -market; use per-backend drop=/fault= spec options")
+			fmt.Fprintln(stderr, "acddedup: note: -chaos-*/-crowd-* flags are ignored with -market; use per-backend drop=/fault=/spike= spec options")
 		}
-		spec := *marketSpec
-		if spec == "default" {
-			spec = market.DefaultFleetSpec
-		}
-		specs, err := market.ParseFleet(spec)
+		specs, err := market.ParseFleet(*marketSpec)
 		if err != nil {
 			fmt.Fprintf(stderr, "acddedup: %v\n", err)
 			return 2
@@ -162,13 +158,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		for i, s := range specs {
 			backends[i] = s.AnswerBackend(cands.PairList(), d.TruthFn(), *seed)
 		}
-		budget := market.Unlimited
-		if *marketBudget > 0 {
-			budget = *marketBudget
-		}
 		mkt := market.New(market.Config{
 			Backends:     backends,
-			BudgetCents:  budget,
+			BudgetCents:  market.FlagBudget(*marketBudget),
 			Order:        market.OrderConfidence,
 			ShortCircuit: true,
 			Prior:        cands.Score,

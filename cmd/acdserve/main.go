@@ -25,8 +25,6 @@
 //	         [-eps 0.1] [-x 8] [-seed 1] [-checkpoint-every N]
 //	         [-commit-window D] [-commit-events N] [-commit-bytes N]
 //	         [-rotate-bytes N] [-follow URL] [-replica-id NAME]
-//	         [-crowd-sim] [-crowd-latency D] [-crowd-spike F] [-crowd-drop F]
-//	         [-crowd-error F] [-crowd-timeout D] [-crowd-retries N]
 //	         [-fleet SPEC] [-fleet-budget CENTS]
 //	         [-metrics] [-metrics-json] [-trace FILE] [-metrics-http ADDR]
 //
@@ -54,19 +52,21 @@
 // Crowd answers are optional: /resolve primes every cached answer and
 // falls back to machine similarity scores for residual pairs, so the
 // service is useful standalone and gets strictly better as answers
-// stream in. With -crowd-sim the residual questions go to a simulated
-// crowd instead (deterministic pseudo-answers with real injected
-// latency and faults per the -crowd-* knobs) — the degraded-crowd
-// configuration the load scenarios exercise. With -fleet the residual
-// questions instead route through the heterogeneous crowd marketplace
-// (internal/market): each backend in the spec answers from the same
-// pseudo-crowd with its own price, latency, and calibrated noise, and
-// the router buys each answer from whichever backend offers the best
-// information value per cent under the -fleet-budget cap; per-backend
-// spend and accuracy appear under market/* and crowd/backend/* in
-// GET /metrics. On SIGINT/SIGTERM the
-// server drains in-flight requests, writes a final checkpoint, and
-// closes the journals.
+// stream in. With -fleet the residual questions instead route through
+// the heterogeneous crowd marketplace (internal/market): each backend in
+// the spec answers from the same deterministic pseudo-crowd with its own
+// price, latency, and calibrated noise, and the router buys each answer
+// from whichever backend offers the best information value per cent
+// under the -fleet-budget cap; per-backend spend and accuracy appear
+// under market/* and crowd/backend/* in GET /metrics. A one-backend
+// fleet with fault options is a simulated slow, faulty crowd with real
+// injected latency — the degraded-crowd configuration the load
+// scenarios exercise:
+//
+//	-fleet 'sim:2:20:0:lat=500us:spike=0.05:drop=0.05:fault=0.05:timeout=10ms'
+//
+// On SIGINT/SIGTERM the server drains in-flight requests, writes a
+// final checkpoint, and closes the journals.
 package main
 
 import (
@@ -82,7 +82,6 @@ import (
 	"time"
 
 	"acd/internal/core"
-	"acd/internal/market"
 	"acd/internal/obs"
 	"acd/internal/pruning"
 	"acd/internal/refine"
@@ -118,14 +117,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready cha
 	rotateBytes := fs.Int64("rotate-bytes", serve.DefaultRotateBytes, "rotate each live WAL segment past this size in bytes (0 disables rotation)")
 	follow := fs.String("follow", "", "leader replication stream URL (http://LEADER/replica/stream): start as a read-only follower mirroring that leader's journals")
 	replicaID := fs.String("replica-id", "", "replica name reported by GET /replica/status")
-	crowdSim := fs.Bool("crowd-sim", false, "answer residual resolve questions from a simulated crowd (deterministic pseudo-answers with real injected latency) instead of machine scores")
-	crowdLatency := fs.Duration("crowd-latency", 500*time.Microsecond, "with -crowd-sim: median simulated answer latency per question")
-	crowdSpike := fs.Float64("crowd-spike", 0, "with -crowd-sim: probability a simulated answer's latency spikes 25x")
-	crowdDrop := fs.Float64("crowd-drop", 0, "with -crowd-sim: probability a simulated answer never arrives (forces timeout+retry)")
-	crowdError := fs.Float64("crowd-error", 0, "with -crowd-sim: probability of a transient simulated platform error")
-	crowdTimeout := fs.Duration("crowd-timeout", 50*time.Millisecond, "with -crowd-sim: per-question deadline before retry/fallback")
-	crowdRetries := fs.Int("crowd-retries", 1, "with -crowd-sim: re-issues after a failed question")
-	fleet := fs.String("fleet", "", "marketplace fleet spec (\"default\" = the built-in mixed fleet): route residual resolve questions across heterogeneous crowd backends by information value per cent")
+	fleet := fs.String("fleet", "", "marketplace fleet spec (\"default\" = the built-in mixed fleet): route residual resolve questions across simulated crowd backends by information value per cent; spike=/drop=/fault= backend options inject real latency and faults")
 	fleetBudget := fs.Int("fleet-budget", 0, "with -fleet: total marketplace spend cap in cents (0 = unlimited)")
 	obsFlags := obs.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -156,28 +148,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready cha
 		Obs:             rec,
 		Follow:          *follow,
 		ReplicaID:       *replicaID,
-	}
-	if *fleet != "" {
-		if *crowdSim {
-			fmt.Fprintln(stderr, "acdserve: -fleet and -crowd-sim are mutually exclusive")
-			return 2
-		}
-		spec := *fleet
-		if spec == "default" {
-			spec = market.DefaultFleetSpec
-		}
-		cfg.Fleet, cfg.FleetBudget = spec, *fleetBudget
-	}
-	if *crowdSim {
-		cfg.Source = serve.DegradedCrowd(serve.SimCrowdConfig{
-			Seed:        *seed,
-			BaseLatency: *crowdLatency,
-			Spike:       *crowdSpike,
-			Drop:        *crowdDrop,
-			Error:       *crowdError,
-			Timeout:     *crowdTimeout,
-			Retries:     *crowdRetries,
-		})
+		Fleet:           *fleet,
+		FleetBudget:     *fleetBudget,
 	}
 	srv, err := serve.Open(cfg)
 	if err != nil {

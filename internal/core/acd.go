@@ -8,6 +8,7 @@ import (
 	"acd/internal/crowd"
 	"acd/internal/obs"
 	"acd/internal/pruning"
+	"acd/internal/record"
 	"acd/internal/refine"
 )
 
@@ -36,6 +37,11 @@ type Config struct {
 	// breaks out of its iteration loop mid-batch, and Output.Err
 	// reports the cancellation. Nil means the run cannot be cancelled.
 	Ctx context.Context
+	// Observe, when set, is registered as the crowd session's observer
+	// (crowd.Session.Observe): it sees every crowd iteration's fresh
+	// pairs and scores, and a non-nil error from it aborts the run like
+	// a cancelled Ctx.
+	Observe func(fresh []record.Pair, scores []float64) error
 }
 
 // Output is the result of a full ACD run.
@@ -75,6 +81,7 @@ func ACD(cands *pruning.Candidates, answers crowd.Source, cfg Config) Output {
 	if cfg.Ctx != nil {
 		sess.Bind(cfg.Ctx)
 	}
+	sess.Observe(cfg.Observe)
 	rec := sess.Recorder()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 

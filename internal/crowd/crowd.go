@@ -283,10 +283,10 @@ type Source interface {
 // with per-backend prices, so the session's uniform Config()-derived
 // math (ceil(fresh/PairsPerHIT) × CentsPerHIT) would be wrong for it.
 // After resolving a batch the session drains the bill and books it
-// verbatim into Stats and the crowd/hits and crowd/cents metrics.
-// Wrappers that delegate Score to an inner source (the incremental
-// engine's sink, the progress adapter) should forward Bill to the inner
-// source so billing survives wrapping.
+// verbatim into Stats and the crowd/hits and crowd/cents metrics. Only
+// the Session asks for the bill, so a source must reach NewSession
+// unwrapped for its billing to count: code that merely watches answers
+// go by registers a Session.Observe hook instead of wrapping the source.
 type Biller interface {
 	// Bill returns the HITs posted and cents spent since the last call
 	// and resets both. ok=false means the source has no billing
@@ -310,6 +310,27 @@ func (s SourceFunc) Score(p record.Pair) float64 { return s.Fn(p) }
 // Config implements Source.
 func (s SourceFunc) Config() Config { return s.Setting }
 
+// AnswerBatch answers one batch from src through the richest path the
+// source offers: the cancellable batch path when ctx is non-nil and src
+// is a ContextBatchSource, else the batch path of a BatchSource, else
+// one Score call per pair. It is the only place that ladder is spelled;
+// Session.Ask and the marketplace's HIT flush both resolve through it.
+// A non-nil error is the context's: the batch stopped early and no
+// scores are returned.
+func AnswerBatch(ctx context.Context, src Source, pairs []record.Pair) ([]float64, error) {
+	if cbs, ok := src.(ContextBatchSource); ok && ctx != nil {
+		return cbs.ScoreBatchCtx(ctx, pairs)
+	}
+	if bs, ok := src.(BatchSource); ok {
+		return bs.ScoreBatch(pairs), nil
+	}
+	scores := make([]float64, len(pairs))
+	for i, p := range pairs {
+		scores[i] = src.Score(p)
+	}
+	return scores, nil
+}
+
 // Session gives one algorithm run access to a crowd source while
 // accounting for everything it asks. It also maintains the set A of
 // already-crowdsourced pairs that the refinement phase consults
@@ -321,7 +342,8 @@ type Session struct {
 	stats   Stats
 	rec     *obs.Recorder
 	ctx     context.Context // nil = never cancelled
-	err     error           // sticky: set once the campaign is aborted
+	observe func(fresh []record.Pair, scores []float64) error
+	err     error // sticky: set once the campaign is aborted
 }
 
 // NewSession starts an accounting session over a crowd source. If the
@@ -364,10 +386,21 @@ func (s *Session) Recorder() *obs.Recorder { return s.rec }
 // and stop cleanly mid-campaign. A nil ctx detaches.
 func (s *Session) Bind(ctx context.Context) { s.ctx = ctx }
 
-// Err reports why the campaign aborted (context cancellation or a batch
-// failure), or nil while the session is healthy. The crowd algorithms
-// check it after every Ask; callers of the algorithms check it to tell a
-// completed run from an interrupted one.
+// Observe registers the session's observer (nil removes it): fn is
+// called once per crowd iteration with the fresh pairs and their scores,
+// in the order the source was asked, after the batch is answered and
+// accounted and before Ask returns. It is how progress callbacks and the
+// incremental engine's journal sink watch answers go by without wrapping
+// the source. A non-nil error from fn aborts the session exactly like a
+// cancelled context: Err reports it and later Asks cost nothing.
+func (s *Session) Observe(fn func(fresh []record.Pair, scores []float64) error) {
+	s.observe = fn
+}
+
+// Err reports why the campaign aborted (context cancellation, a batch
+// failure, or an observer error), or nil while the session is healthy.
+// The crowd algorithms check it after every Ask; callers of the
+// algorithms check it to tell a completed run from an interrupted one.
 func (s *Session) Err() error { return s.err }
 
 // abort marks the session failed; the first error sticks.
@@ -414,21 +447,10 @@ func (s *Session) Ask(pairs []record.Pair) []float64 {
 		// pair). A bound context routes through the cancellable batch
 		// path; a batch that fails mid-flight aborts the campaign and
 		// charges nothing.
-		var scores []float64
-		if cbs, ok := s.answers.(ContextBatchSource); ok && s.ctx != nil {
-			got, err := cbs.ScoreBatchCtx(s.ctx, fresh)
-			if err != nil {
-				s.abort(err)
-				return make([]float64, len(pairs))
-			}
-			scores = got
-		} else if bs, ok := s.answers.(BatchSource); ok {
-			scores = bs.ScoreBatch(fresh)
-		} else {
-			scores = make([]float64, len(fresh))
-			for i, p := range fresh {
-				scores[i] = s.answers.Score(p)
-			}
+		scores, err := AnswerBatch(s.ctx, s.answers, fresh)
+		if err != nil {
+			s.abort(err)
+			return make([]float64, len(pairs))
 		}
 		vc, _ := s.answers.(VoteCounter)
 		votes := 0
@@ -469,6 +491,15 @@ func (s *Session) Ask(pairs []record.Pair) []float64 {
 			s.rec.Trace("crowd.iteration", map[string]any{
 				"fresh": len(fresh), "hits": hits, "iteration": s.stats.Iterations,
 			})
+		}
+		// The batch is bought and booked either way; an observer that
+		// cannot keep up (a failed journal append) stops the campaign
+		// before it buys another.
+		if s.observe != nil {
+			if err := s.observe(fresh, scores); err != nil {
+				s.abort(err)
+				return make([]float64, len(pairs))
+			}
 		}
 	}
 	s.rec.Count(MetricQuestionsIssued, int64(len(pairs)))

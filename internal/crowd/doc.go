@@ -29,6 +29,17 @@
 // the simulation with AMT-style worker pools, admission rules, and
 // wall-clock latency estimates.
 //
+// The seam around that chokepoint has one rule: sources answer; the
+// Session accounts and notifies. A Source may offer richer paths
+// (BatchSource, ContextBatchSource, Biller, VoteCounter, RecorderSetter,
+// RecorderCarrier); only the Session discovers them, so a source reaches
+// NewSession unwrapped, and the batch ladder is spelled once, in
+// AnswerBatch. Code that merely watches answers go by — a progress
+// callback, the incremental engine's journal sink — registers
+// Session.Observe instead of wrapping the source. Wrappers that
+// transform answers (ChaosSource, ReliableSource, AsyncSource) stay
+// sources and forward only the recorder.
+//
 // The fault-tolerant execution layer (faulttol.go) hardens any Source
 // against a misbehaving crowd backend: ReliableSource adds per-question
 // deadlines, bounded retries with jittered backoff, hedged re-issue of

@@ -37,7 +37,7 @@ func TestLatencyQuantileOracle(t *testing.T) {
 			return time.Duration(r.Int63n(int64(50 * time.Millisecond)))
 		},
 		"lognormal": func(r *rand.Rand) time.Duration {
-			return time.Duration(math.Exp(r.NormFloat64()*1.5+13) /*~0.4ms median*/)
+			return time.Duration(math.Exp(r.NormFloat64()*1.5 + 13) /*~0.4ms median*/)
 		},
 		"bimodal": func(r *rand.Rand) time.Duration {
 			if r.Float64() < 0.95 {

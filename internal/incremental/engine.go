@@ -272,116 +272,38 @@ func (e *Engine) Snapshot() *journal.Checkpoint {
 	}
 }
 
-// newResolveSession builds the crowd session a resolve pass uses: the
-// configured source (or the machine fallback over the scoped scores)
-// wrapped so every fresh answer flows through the sink before the
-// algorithms consume it.
-func newResolveSession(cfg Config, scores map[record.Pair]float64, sink AnswerSink) (*crowd.Session, *sinkSource) {
-	var inner crowd.Source
-	label := ""
-	if cfg.Source != nil {
-		inner = cfg.Source
-	} else {
-		inner = machineSource{scores: scores}
-		label = SourceMachine
-	}
-	ss := &sinkSource{inner: inner, label: label, sink: sink}
-	sess := crowd.NewSession(ss)
-	if cfg.Obs != nil {
-		sess.SetRecorder(cfg.Obs)
-	}
-	return sess, ss
-}
-
 // SourceMachine is the provenance label for answers synthesized from
 // machine similarity scores (Config.Source == nil).
 const SourceMachine = "machine"
 
-// sinkSource wraps the configured crowd source so that every oracle
-// invocation is captured: the answer is pushed through the caller's
-// AnswerSink (which journals and caches it) the moment it is produced,
-// before the algorithm acts on it. A crash after the answer but before
-// the resolve effect therefore recovers with the answer cached — and
-// the next resolve primes it for free, preserving questions_answered ==
-// oracle_invocations across restarts.
-type sinkSource struct {
-	inner crowd.Source
-	label string
-	sink  AnswerSink
-	err   error // first sink failure, surfaced after the pass
-}
-
-// Score implements crowd.Source.
-func (j *sinkSource) Score(p record.Pair) float64 {
-	fc := j.inner.Score(p)
-	j.record(p, fc)
-	return fc
-}
-
-// ScoreBatch implements crowd.BatchSource, forwarding to the inner
-// source's batch path when it has one. Scores are identical either way;
-// batching only changes latency for live crowds.
-func (j *sinkSource) ScoreBatch(pairs []record.Pair) []float64 {
-	var scores []float64
-	if bs, ok := j.inner.(crowd.BatchSource); ok {
-		scores = bs.ScoreBatch(pairs)
-	} else {
-		scores = make([]float64, len(pairs))
-		for i, p := range pairs {
-			scores[i] = j.inner.Score(p)
+// newResolveSession builds the crowd session a resolve pass uses over
+// the configured source (or the machine fallback over the scoped
+// scores). The session's observer pushes every fresh answer through the
+// sink — which journals and caches it — the moment its batch is
+// answered, before the algorithm acts on it. A crash after the answer
+// but before the resolve effect therefore recovers with the answer
+// cached, and the next resolve primes it for free, preserving
+// questions_answered == oracle_invocations across restarts. A sink
+// failure aborts the session: nothing more is bought that could not be
+// journaled.
+func newResolveSession(cfg Config, scores map[record.Pair]float64, sink AnswerSink) *crowd.Session {
+	src, label := cfg.Source, ""
+	if src == nil {
+		src, label = machineSource{scores: scores}, SourceMachine
+	}
+	sess := crowd.NewSession(src)
+	if cfg.Obs != nil {
+		sess.SetRecorder(cfg.Obs)
+	}
+	sess.Observe(func(fresh []record.Pair, fcs []float64) error {
+		for i, p := range fresh {
+			if err := sink(p, fcs[i], label); err != nil {
+				return err
+			}
 		}
-	}
-	for i, p := range pairs {
-		j.record(p, scores[i])
-	}
-	return scores
-}
-
-func (j *sinkSource) record(p record.Pair, fc float64) {
-	if j.sink == nil {
-		return
-	}
-	if err := j.sink(p, fc, j.label); err != nil && j.err == nil {
-		j.err = err
-	}
-}
-
-// Config implements crowd.Source.
-func (j *sinkSource) Config() crowd.Config { return j.inner.Config() }
-
-// VoteCount implements crowd.VoteCounter so session vote accounting
-// matches a direct (unwrapped) run of the same source.
-func (j *sinkSource) VoteCount(p record.Pair) int {
-	if vc, ok := j.inner.(crowd.VoteCounter); ok {
-		return vc.VoteCount(p)
-	}
-	return j.inner.Config().Workers
-}
-
-// Bill implements crowd.Biller, forwarding to the inner source so a
-// self-billing marketplace's per-backend accounting survives the sink
-// wrapper instead of being re-derived from the uniform Config() rate.
-func (j *sinkSource) Bill() (hits, cents int, ok bool) {
-	if b, ok := j.inner.(crowd.Biller); ok {
-		return b.Bill()
-	}
-	return 0, 0, false
-}
-
-// SetRecorder implements crowd.RecorderSetter, pushing the session's
-// recorder down to the wrapped source.
-func (j *sinkSource) SetRecorder(rec *obs.Recorder) {
-	if s, ok := j.inner.(crowd.RecorderSetter); ok {
-		s.SetRecorder(rec)
-	}
-}
-
-// Recorder implements crowd.RecorderCarrier.
-func (j *sinkSource) Recorder() *obs.Recorder {
-	if c, ok := j.inner.(crowd.RecorderCarrier); ok {
-		return c.Recorder()
-	}
-	return nil
+		return nil
+	})
+	return sess
 }
 
 // machineSource is the crowd-free fallback: it answers a pair with its
@@ -396,7 +318,3 @@ func (m machineSource) Score(p record.Pair) float64 { return m.scores[p] }
 
 // Config implements crowd.Source.
 func (m machineSource) Config() crowd.Config { return crowd.ThreeWorker(0) }
-
-var _ crowd.BatchSource = (*sinkSource)(nil)
-var _ crowd.VoteCounter = (*sinkSource)(nil)
-var _ crowd.Biller = (*sinkSource)(nil)

@@ -159,7 +159,7 @@ func RunResolve(cfg Config, st ResolveState) (clusters [][]int, stats ResolveSta
 	// pruned.
 	cands := pruning.FromScores(st.N, scores, -1)
 
-	sess, src := newResolveSession(cfg, scores, st.Sink)
+	sess := newResolveSession(cfg, scores, st.Sink)
 	if st.Ctx != nil {
 		sess.Bind(st.Ctx)
 	}
@@ -185,9 +185,6 @@ func RunResolve(cfg Config, st ResolveState) (clusters [][]int, stats ResolveSta
 	}
 	if err := sess.Err(); err != nil {
 		return nil, stats, err
-	}
-	if src.err != nil {
-		return nil, stats, src.err
 	}
 	stats.QuestionsAsked = sess.Stats().Pairs
 	stats.Iterations = sess.Stats().Iterations

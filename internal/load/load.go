@@ -226,12 +226,12 @@ type Generator struct {
 	measuring atomic.Bool
 	stats     map[string]*epStats // fixed key set after New; values are atomic
 
-	cursor     atomic.Int64 // churn pool position
-	readCursor atomic.Int64 // ReadTargets round-robin position
-	known    atomic.Int64 // contiguous acked-record prefix (see ackIDs)
-	ackMu    sync.Mutex
-	ackedIDs map[int64]struct{} // acked ids at or beyond the known prefix
-	inflight atomic.Int64
+	cursor      atomic.Int64 // churn pool position
+	readCursor  atomic.Int64 // ReadTargets round-robin position
+	known       atomic.Int64 // contiguous acked-record prefix (see ackIDs)
+	ackMu       sync.Mutex
+	ackedIDs    map[int64]struct{} // acked ids at or beyond the known prefix
+	inflight    atomic.Int64
 	maxInflight atomic.Int64
 	warmupOps   atomic.Int64
 

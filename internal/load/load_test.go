@@ -18,8 +18,8 @@ import (
 // resolves defaults on valid ones.
 func TestConfigValidation(t *testing.T) {
 	bad := []Config{
-		{},                                      // no target
-		{Target: "http://x"},                    // no duration
+		{},                   // no target
+		{Target: "http://x"}, // no duration
 		{Target: "http://x", Duration: time.Second, Mix: Mix{Records: -1, Clusters: 2}},
 		{Target: "http://x", Duration: time.Second, Arrival: "weird"},
 		{Target: "http://x", Duration: time.Second, Concurrency: -2},

@@ -62,7 +62,7 @@ func crashDrill(o Options, name string) (*load.Report, error) {
 	}
 	liveDir := filepath.Join(o.Dir, name+"-live")
 	imageDir := filepath.Join(o.Dir, name+"-image")
-	l, err := startServer(o, name+"-live", nil)
+	l, _, err := startServer(o, name+"-live", "")
 	if err != nil {
 		return nil, err
 	}

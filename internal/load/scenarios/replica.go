@@ -95,7 +95,7 @@ func runReplicaReads(o Options) (*load.Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	leader, err := startServer(o, "replica-reads-leader", nil)
+	leader, _, err := startServer(o, "replica-reads-leader", "")
 	if err != nil {
 		return nil, err
 	}
@@ -176,7 +176,7 @@ func runReplicaFailover(o Options) (*load.Report, error) {
 		return nil, err
 	}
 	leaderDir := filepath.Join(o.Dir, "replica-failover-leader")
-	leader, err := startServer(o, "replica-failover-leader", nil)
+	leader, _, err := startServer(o, "replica-failover-leader", "")
 	if err != nil {
 		return nil, err
 	}

@@ -25,6 +25,7 @@ import (
 
 	"acd/internal/dataset"
 	"acd/internal/load"
+	"acd/internal/market"
 	"acd/internal/obs"
 	"acd/internal/serve"
 )
@@ -174,31 +175,55 @@ func Find(name string) (Scenario, bool) {
 	return Scenario{}, false
 }
 
-// startServer boots a journaled in-process server for a scenario.
-func startServer(o Options, name string, src *serve.SimCrowdConfig) (*serve.Local, error) {
+// startServer boots a journaled in-process server for a scenario and
+// returns it with the recorder its metrics land in. fleet, when
+// non-empty, is the marketplace spec answering its resolve questions
+// (serve.Config.Fleet); spikes re-price its backends mid-run.
+func startServer(o Options, name, fleet string, spikes ...market.Spike) (*serve.Local, *obs.Recorder, error) {
+	rec := obs.New()
 	cfg := serve.Config{
 		Journal:      filepath.Join(o.Dir, name),
 		Shards:       o.Shards,
 		Seed:         o.Seed,
 		CommitWindow: o.CommitWindow,
 		RotateBytes:  o.RotateBytes,
-		Obs:          obs.New(),
+		Obs:          rec,
+		Fleet:        fleet,
 	}
-	if src != nil {
-		cfg.Source = serve.DegradedCrowd(*src)
+	if len(spikes) > 0 {
+		// serve.Config spells a fleet but not a price schedule: build
+		// the marketplace it would, plus the spikes.
+		backends, err := market.Fleet(fleet, serve.PairScore(o.Seed), o.Seed)
+		if err != nil {
+			return nil, nil, err
+		}
+		m := market.New(market.Config{
+			Backends:     backends,
+			BudgetCents:  market.Unlimited,
+			Order:        market.OrderConfidence,
+			ShortCircuit: true,
+			Spikes:       spikes,
+			Seed:         o.Seed,
+		})
+		m.SetRecorder(rec)
+		cfg.Source = m
 	}
-	return serve.StartLocal(cfg)
+	l, err := serve.StartLocal(cfg)
+	return l, rec, err
 }
 
-// runWorkload is the shared scenario body: boot a server, run one
-// generator configuration against it, close gracefully, label the
-// report.
-func runWorkload(o Options, name string, src *serve.SimCrowdConfig, shape func(*load.Config)) (*load.Report, error) {
+// runWorkload is the shared scenario body: boot a server (over fleet
+// and spikes, see startServer), run one generator configuration against
+// it, close gracefully, label the report. A scenario with a fleet also
+// gets the router's accounting — total and per-backend spend, routed
+// and inferred question counts — folded into the report's Extra
+// metrics, which flow into BENCH_N.json as Load/<scenario>/scenario.
+func runWorkload(o Options, name, fleet string, spikes []market.Spike, shape func(*load.Config)) (*load.Report, error) {
 	o, err := o.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	l, err := startServer(o, name, src)
+	l, rec, err := startServer(o, name, fleet, spikes...)
 	if err != nil {
 		return nil, err
 	}
@@ -220,7 +245,7 @@ func runWorkload(o Options, name string, src *serve.SimCrowdConfig, shape func(*
 	if err != nil {
 		return nil, err
 	}
-	fmt.Fprintf(o.Log, "scenario %s: %d shards, warmup %v, measure %v\n", name, o.Shards, warmup, measure)
+	fmt.Fprintf(o.Log, "scenario %s: fleet %q, %d shards, warmup %v, measure %v\n", name, fleet, o.Shards, warmup, measure)
 	rep, err := g.Run(context.Background())
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", name, err)
@@ -230,14 +255,43 @@ func runWorkload(o Options, name string, src *serve.SimCrowdConfig, shape func(*
 	if errs := rep.TotalErrors(); errs > 0 {
 		return rep, fmt.Errorf("scenario %s: %d request errors during measured window", name, errs)
 	}
+	if fleet != "" {
+		rep.Extra = map[string]float64{
+			"spend_cents":      float64(rec.Counter(market.MetricSpendCents)),
+			"routed":           float64(rec.Counter(market.MetricRouted)),
+			"short_circuited":  float64(rec.Counter(market.MetricShortCircuited)),
+			"budget_fallbacks": float64(rec.Counter(market.MetricFallbacks)),
+		}
+		specs, _ := market.ParseFleet(fleet) // the server parsed it already
+		for _, s := range specs {
+			rep.Extra["spend_"+s.ID+"_cents"] = float64(rec.Counter(market.BackendMetric(s.ID, "cents")))
+			rep.Extra["questions_"+s.ID] = float64(rec.Counter(market.BackendMetric(s.ID, "questions")))
+		}
+	}
 	if err := l.Close(); err != nil {
 		return rep, fmt.Errorf("scenario %s: closing server: %w", name, err)
 	}
 	return rep, nil
 }
 
+// resolveHeavy is the workload shape of the scenarios that measure the
+// /resolve path rather than ingest (degraded-crowd and the marketplace
+// pair). Resolve cost is close to (pending pairs × per-query crowd
+// latency) — every churned duplicate densifies the candidate graph — so
+// the mix is ingest-light and resolves run frequently to keep each
+// pass's pair backlog small.
+func resolveHeavy(o Options, c *load.Config) {
+	c.Mix = load.Mix{Records: 10, Answers: 5, Clusters: 60, Metrics: 25}
+	c.Concurrency = 8
+	c.ResolveEvery = 400 * time.Millisecond
+	if o.Smoke {
+		c.Concurrency = 4
+		c.ResolveEvery = 150 * time.Millisecond
+	}
+}
+
 func runBaseline(o Options) (*load.Report, error) {
-	return runWorkload(o, "baseline", nil, func(c *load.Config) {
+	return runWorkload(o, "baseline", "", nil, func(c *load.Config) {
 		c.Concurrency = 8
 		c.ResolveEvery = 500 * time.Millisecond
 		if o.Smoke {
@@ -248,7 +302,7 @@ func runBaseline(o Options) (*load.Report, error) {
 }
 
 func runHighLoad(o Options) (*load.Report, error) {
-	return runWorkload(o, "high-load", nil, func(c *load.Config) {
+	return runWorkload(o, "high-load", "", nil, func(c *load.Config) {
 		c.Mix = load.Mix{Records: 70, Answers: 20, Clusters: 8, Metrics: 2}
 		c.Concurrency = 32
 		c.RecordBatch = 16
@@ -259,7 +313,7 @@ func runHighLoad(o Options) (*load.Report, error) {
 }
 
 func runBursty(o Options) (*load.Report, error) {
-	return runWorkload(o, "bursty", nil, func(c *load.Config) {
+	return runWorkload(o, "bursty", "", nil, func(c *load.Config) {
 		c.Arrival = load.ArrivalPoisson
 		c.Concurrency = 64
 		c.Rate = 300
@@ -272,7 +326,7 @@ func runBursty(o Options) (*load.Report, error) {
 }
 
 func runReadHeavy(o Options) (*load.Report, error) {
-	return runWorkload(o, "read-heavy", nil, func(c *load.Config) {
+	return runWorkload(o, "read-heavy", "", nil, func(c *load.Config) {
 		c.Mix = load.Mix{Records: 8, Answers: 2, Clusters: 70, Metrics: 20}
 		c.Concurrency = 16
 		c.ResolveEvery = 300 * time.Millisecond
@@ -284,37 +338,19 @@ func runReadHeavy(o Options) (*load.Report, error) {
 }
 
 func runDegradedCrowd(o Options) (*load.Report, error) {
-	// Crowd fault rates stay constant across modes; only the latency
-	// scale shrinks for smoke. Resolve cost is roughly (pending pairs ×
-	// per-query latency), so the mix is ingest-light — the scenario
-	// measures how crowd degradation stretches /resolve and whether
-	// reads stay fast beside it, not raw ingest throughput.
-	// Resolve cost is close to (pending pairs × per-query crowd
-	// latency) — every churned duplicate densifies the candidate graph,
-	// so the mix here is ingest-light and resolves run frequently to
-	// keep each pass's pair backlog small. The measurement of interest
-	// is how much the faulty crowd stretches /resolve while snapshot
-	// reads stay flat.
-	crowd := &serve.SimCrowdConfig{
-		Seed:        o.Seed,
-		BaseLatency: 500 * time.Microsecond,
-		Spike:       0.05,
-		Drop:        0.05,
-		Error:       0.05,
-		Timeout:     10 * time.Millisecond,
-		Retries:     1,
-	}
+	// A one-backend fleet is a single simulated crowd: error rate 0, so
+	// answers are the pseudo-crowd's own, delivered slowly and
+	// unreliably. Crowd fault rates stay constant across modes; only the
+	// latency scale shrinks for smoke. The measurement of interest is
+	// how much the faulty crowd stretches /resolve while snapshot reads
+	// stay flat.
+	fleet := "sim:2:20:0:lat=500us:spike=0.05:drop=0.05:fault=0.05:timeout=10ms"
 	if o.Smoke {
-		crowd.BaseLatency = 20 * time.Microsecond
-		crowd.Timeout = time.Millisecond
+		fleet = "sim:2:20:0:lat=20us:spike=0.05:drop=0.05:fault=0.05:timeout=1ms"
 	}
-	return runWorkload(o, "degraded-crowd", crowd, func(c *load.Config) {
-		c.Mix = load.Mix{Records: 10, Answers: 5, Clusters: 60, Metrics: 25}
-		c.Concurrency = 8
-		c.ResolveEvery = 400 * time.Millisecond
+	return runWorkload(o, "degraded-crowd", fleet, nil, func(c *load.Config) {
+		resolveHeavy(o, c)
 		if o.Smoke {
-			c.Concurrency = 4
-			c.ResolveEvery = 150 * time.Millisecond
 			c.Duration = 1200 * time.Millisecond
 		}
 	})

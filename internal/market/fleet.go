@@ -21,16 +21,21 @@ import (
 //	id:centsPerHIT:pairsPerHIT:errorRate[:opt...]
 //
 // Options: "machine" marks the free machine backend; "lat=DUR" sets
-// the median HIT latency; "drop=P" and "fault=P" wrap the backend in
-// ChaosSource with that drop/transient-error probability (plus
-// ReliableSource retry/fallback); "timeout=DUR" overrides the
-// per-question retry deadline for a faulty backend (default 8× its
-// latency — tighten it to bound how long an outage can stall a
-// question); "workers=N" sets votes per answer.
+// the median HIT latency; "drop=P", "fault=P" and "spike=P" wrap the
+// backend in ChaosSource with that drop / transient-error / 25×-latency
+// straggler probability (plus ReliableSource: one retry, then fallback
+// to the fault-free answer); "timeout=DUR" overrides the per-question
+// retry deadline for a faulty backend (default 8× its latency — tighten
+// it to bound how long an outage can stall a question); "workers=N"
+// sets votes per answer. The whole spec "default" means
+// DefaultFleetSpec.
 //
-// Example (the default mixed fleet):
+// Examples — the default mixed fleet, and a single slow, faulty
+// simulated crowd (error rate 0: answers are the base function's, only
+// their delivery degrades):
 //
 //	fast:1:20:0.12;careful:6:10:0.02:lat=2ms;machine:0:0:0.35:machine
+//	sim:2:20:0:lat=500us:spike=0.05:drop=0.05:fault=0.05:timeout=10ms
 
 // DefaultFleetSpec is the reference mixed fleet: a fast cheap noisy
 // backend, a slow expensive accurate one, and the free machine
@@ -49,19 +54,34 @@ type BackendSpec struct {
 	Workers     int
 	Latency     time.Duration
 	Machine     bool
-	// Drop and Fault are ChaosSource probabilities for the backend's
-	// fault wrapping (zero = no chaos layer).
+	// Drop, Fault and Spike are ChaosSource probabilities for the
+	// backend's fault wrapping (all zero = no chaos layer).
 	Drop  float64
 	Fault float64
+	Spike float64
 	// Timeout overrides the fault wrapper's per-question retry deadline
 	// (zero = 8× the backend's latency).
 	Timeout time.Duration
 }
 
-// ParseFleet parses a fleet spec (see the grammar above). Every
-// backend needs a unique non-empty id; probabilities must lie in
-// [0, 1]; prices must be non-negative.
+// FlagBudget maps a user-facing budget flag or option, where zero or
+// negative means "no cap", onto Config.BudgetCents, where zero is a
+// real zero and Unlimited lifts the cap.
+func FlagBudget(cents int) int {
+	if cents > 0 {
+		return cents
+	}
+	return Unlimited
+}
+
+// ParseFleet parses a fleet spec (see the grammar above); the keyword
+// "default" stands for DefaultFleetSpec. Every backend needs a unique
+// non-empty id; probabilities must lie in [0, 1]; prices must be
+// non-negative.
 func ParseFleet(spec string) ([]BackendSpec, error) {
+	if strings.TrimSpace(spec) == "default" {
+		spec = DefaultFleetSpec
+	}
 	var out []BackendSpec
 	seen := make(map[string]bool)
 	for _, part := range strings.Split(spec, ";") {
@@ -109,6 +129,10 @@ func ParseFleet(spec string) ([]BackendSpec, error) {
 				if b.Fault, err = strconv.ParseFloat(val, 64); err != nil || b.Fault < 0 || b.Fault > 1 {
 					return nil, fmt.Errorf("market: backend %q: bad fault %q", b.ID, val)
 				}
+			case key == "spike" && hasVal:
+				if b.Spike, err = strconv.ParseFloat(val, 64); err != nil || b.Spike < 0 || b.Spike > 1 {
+					return nil, fmt.Errorf("market: backend %q: bad spike %q", b.ID, val)
+				}
 			case key == "timeout" && hasVal:
 				if b.Timeout, err = time.ParseDuration(val); err != nil || b.Timeout <= 0 {
 					return nil, fmt.Errorf("market: backend %q: bad timeout %q", b.ID, val)
@@ -143,23 +167,26 @@ func (s BackendSpec) skeleton() Backend {
 	}
 }
 
-// wrap applies the spec's fault options (drop/fault) around src: the
-// full ChaosSource + ReliableSource stack with fallback as the answer
-// of last resort. Machine specs and specs without fault bits pass
-// through untouched.
+// wrap applies the spec's fault options (drop/fault/spike) around src:
+// the full ChaosSource + ReliableSource stack with fallback as the
+// answer of last resort. Machine specs and specs without fault bits
+// pass through untouched.
 func (s BackendSpec) wrap(src crowd.Source, fallback func(record.Pair) float64, seed int64) crowd.Source {
-	if s.Machine || (s.Drop <= 0 && s.Fault <= 0) {
+	if s.Machine || (s.Drop <= 0 && s.Fault <= 0 && s.Spike <= 0) {
 		return src
 	}
 	chaos := crowd.NewChaos(src, crowd.ChaosConfig{
 		Seed:        seed,
 		BaseLatency: max(s.Latency, 200*time.Microsecond),
+		SpikeProb:   s.Spike,
 		DropProb:    s.Drop,
 		ErrorProb:   s.Fault,
 	})
 	// Tight deadlines and backoff: these run inside load-scenario
-	// resolve handlers, where crowd-scale defaults would wedge the
-	// run (same sizing as serve.DegradedCrowd).
+	// resolve handlers on the wall clock, where crowd-scale defaults
+	// (a 200ms backoff at a ~10% fault rate adds ~20ms to the average
+	// question) would dwarf the latency being simulated and wedge the
+	// run.
 	timeout := 8 * max(s.Latency, 200*time.Microsecond)
 	if s.Timeout > 0 {
 		timeout = s.Timeout
@@ -176,7 +203,7 @@ func (s BackendSpec) wrap(src crowd.Source, fallback func(record.Pair) float64, 
 
 // Backend builds the live Backend for a spec over the given base answer
 // function: answers are the base flipped with the spec's error rate,
-// and a spec with fault bits (drop/fault) gets the full
+// and a spec with fault bits (drop/fault/spike) gets the full
 // ChaosSource + ReliableSource stack with the base as fallback.
 // Machine specs answer directly (no fault wrapping, no charge).
 func (s BackendSpec) Backend(base func(record.Pair) float64, seed int64) Backend {

@@ -1,6 +1,7 @@
 package market
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -29,13 +30,60 @@ func TestParseFleetDefault(t *testing.T) {
 }
 
 func TestParseFleetOptions(t *testing.T) {
-	specs, err := ParseFleet("flaky:2:5:0.1:drop=0.3:fault=0.2:workers=5:lat=10ms")
+	specs, err := ParseFleet("flaky:2:5:0.1:drop=0.3:fault=0.2:spike=0.4:workers=5:lat=10ms:timeout=3ms")
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := specs[0]
-	if s.Drop != 0.3 || s.Fault != 0.2 || s.Workers != 5 || s.Latency != 10*time.Millisecond {
+	if s.Drop != 0.3 || s.Fault != 0.2 || s.Spike != 0.4 || s.Workers != 5 || s.Latency != 10*time.Millisecond || s.Timeout != 3*time.Millisecond {
 		t.Errorf("options parsed as %+v", s)
+	}
+}
+
+// TestFleetKeywordAndBudget: the two conveniences every CLI shares live
+// here — "default" names the reference fleet, and a budget flag's
+// "zero or negative = no cap" maps onto Config.BudgetCents' Unlimited.
+func TestFleetKeywordAndBudget(t *testing.T) {
+	got, err := ParseFleet(" default ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := ParseFleet(DefaultFleetSpec)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("ParseFleet(default) = %+v, want the default fleet %+v", got, want)
+	}
+	if _, err := Fleet("default", func(record.Pair) float64 { return 1 }, 1); err != nil {
+		t.Errorf("Fleet(default): %v", err)
+	}
+	for flag, want := range map[int]int{-5: Unlimited, 0: Unlimited, 1: 1, 250: 250} {
+		if got := FlagBudget(flag); got != want {
+			t.Errorf("FlagBudget(%d) = %d, want %d", flag, got, want)
+		}
+	}
+}
+
+// TestSpikeAloneWraps: spike= is a fault bit like drop= and fault= — on
+// its own it still puts the backend behind the chaos and retry layers
+// (the degraded-crowd scenario's one-backend fleet depends on it), and
+// an error-free spec's answers are the base function's.
+func TestSpikeAloneWraps(t *testing.T) {
+	base := func(p record.Pair) float64 { return float64(p.Lo%10) / 10 }
+	for spec, wrapped := range map[string]bool{
+		"sim:2:20:0:lat=1ms:spike=0.5": true,
+		"sim:2:20:0:lat=1ms":           false,
+	} {
+		backends, err := Fleet(spec, base, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := backends[0].Source.(*crowd.ReliableSource); ok != wrapped {
+			t.Errorf("%s: source is %T, want fault wrapping = %v", spec, backends[0].Source, wrapped)
+		}
+		for _, p := range []record.Pair{record.MakePair(3, 4), record.MakePair(7, 9)} {
+			if got := backends[0].Source.Score(p); got != base(p) {
+				t.Errorf("%s: Score(%v) = %v, want the base answer %v", spec, p, got, base(p))
+			}
+		}
 	}
 }
 
@@ -51,6 +99,7 @@ func TestParseFleetErrors(t *testing.T) {
 		"a:1:2:1.5",             // error rate out of range
 		"a:1:2:0.1:drop=2",      // drop out of range
 		"a:1:2:0.1:fault=x",     // bad fault
+		"a:1:2:0.1:spike=1.5",   // spike out of range
 		"a:1:2:0.1:workers=0",   // bad workers
 		"a:1:2:0.1:lat=-1ms",    // negative latency
 		"a:1:2:0.1:bogus",       // unknown option

@@ -14,9 +14,9 @@
 // first and later pairs are answered for free by transitive closure
 // ("The Expected Optimal Labeling Order Problem", CIKM 2013).
 //
-// A Market implements crowd.Source, crowd.BatchSource, and crowd.Biller,
-// so it slots into core.ACD, incremental.Config.Source, and
-// serve.Config.Source unchanged; the session books the HITs and cents
+// A Market implements crowd.Source, crowd.ContextBatchSource, and
+// crowd.Biller, so it slots into core.ACD, incremental.Config.Source,
+// and serve.Config.Source unchanged; the session books the HITs and cents
 // the marketplace actually spent rather than deriving them from a
 // uniform rate. A single-backend market with arrival ordering, no
 // short-circuiting, and an unlimited budget is a pure passthrough: it
@@ -366,8 +366,10 @@ func (m *Market) ScoreBatch(pairs []record.Pair) []float64 {
 }
 
 // ScoreBatchCtx implements crowd.ContextBatchSource: as ScoreBatch, but
-// a cancelled context stops the batch between questions. Whatever was
-// already charged stays charged — the spent prefix is real money.
+// a cancelled context stops the batch between questions and inside a
+// cancellable backend's HIT. Whatever was already charged stays charged
+// — the spent prefix is real money — and questions still waiting in an
+// open HIT are dropped with the batch they belonged to.
 func (m *Market) ScoreBatchCtx(ctx context.Context, pairs []record.Pair) ([]float64, error) {
 	return m.scoreBatch(ctx, pairs)
 }
@@ -375,6 +377,11 @@ func (m *Market) ScoreBatchCtx(ctx context.Context, pairs []record.Pair) ([]floa
 func (m *Market) scoreBatch(ctx context.Context, pairs []record.Pair) ([]float64, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	// Only a cancelled batch leaves questions waiting in an open HIT;
+	// their slots in out died with it, so this batch must not flush them.
+	for _, b := range m.backends {
+		b.buf = b.buf[:0]
+	}
 
 	out := make([]float64, len(pairs))
 	priors := make([]float64, len(pairs))
@@ -432,18 +439,22 @@ func (m *Market) scoreBatch(ctx context.Context, pairs []record.Pair) ([]float64
 			b.buf = append(b.buf, pendingQ{p: p, idx: i})
 			m.rec.Count(BackendMetric(b.cfg.ID, "questions"), 1)
 			if len(b.buf) >= b.cfg.PairsPerHIT {
-				if lat := m.flush(b, pairs, out); lat > makespan {
-					makespan = lat
+				lat, err := m.flush(ctx, b, out)
+				if err != nil {
+					return nil, err
 				}
+				makespan = max(makespan, lat)
 			}
 		}
 	}
 	// Batch over: flush the partial HITs (already charged at open).
 	for _, b := range m.backends {
 		if len(b.buf) > 0 {
-			if lat := m.flush(b, pairs, out); lat > makespan {
-				makespan = lat
+			lat, err := m.flush(ctx, b, out)
+			if err != nil {
+				return nil, err
 			}
+			makespan = max(makespan, lat)
 		}
 	}
 	if makespan > 0 {
@@ -563,21 +574,17 @@ func (m *Market) openHIT(b *backendState) {
 // simulated latency. A HIT is posted as a unit, so a source with a
 // batch path (ReliableSource's bounded worker pool) answers its pairs
 // concurrently — a faulty backend's retry deadlines then overlap
-// instead of stacking serially.
-func (m *Market) flush(b *backendState, pairs []record.Pair, out []float64) time.Duration {
+// instead of stacking serially — and a cancellable one stops with ctx,
+// whose error is then the only one flush returns.
+func (m *Market) flush(ctx context.Context, b *backendState, out []float64) (time.Duration, error) {
 	perPair := float64(b.openCents) / float64(len(b.buf))
 	qp := make([]record.Pair, len(b.buf))
 	for i, q := range b.buf {
 		qp[i] = q.p
 	}
-	var scores []float64
-	if bs, ok := b.cfg.Source.(crowd.BatchSource); ok {
-		scores = bs.ScoreBatch(qp)
-	} else {
-		scores = make([]float64, len(qp))
-		for i, p := range qp {
-			scores[i] = b.cfg.Source.Score(p)
-		}
+	scores, err := crowd.AnswerBatch(ctx, b.cfg.Source, qp)
+	if err != nil {
+		return 0, err
 	}
 	for i, q := range b.buf {
 		fc := scores[i]
@@ -591,7 +598,7 @@ func (m *Market) flush(b *backendState, pairs []record.Pair, out []float64) time
 	if lat > 0 {
 		m.rec.Observe(BackendMetric(b.cfg.ID, "hit_latency_seconds"), lat.Seconds())
 	}
-	return lat
+	return lat, nil
 }
 
 // drawLatency samples a log-normal latency around the backend's median.

@@ -383,6 +383,88 @@ func TestScoreBatchCtxCancel(t *testing.T) {
 	}
 }
 
+// cancellingBackend is a ContextBatchSource that cancels its caller's
+// context inside its first HIT and answers every later one.
+type cancellingBackend struct {
+	*crowd.AnswerSet
+	cancel context.CancelFunc
+	calls  int
+}
+
+func (c *cancellingBackend) ScoreBatchCtx(ctx context.Context, pairs []record.Pair) ([]float64, error) {
+	if c.calls++; c.calls == 1 {
+		c.cancel()
+		return nil, ctx.Err()
+	}
+	out := make([]float64, len(pairs))
+	for i, p := range pairs {
+		out[i] = c.Score(p)
+	}
+	return out, nil
+}
+
+// TestScoreBatchCtxCancelInsideHIT: the context reaches a cancellable
+// backend through the HIT flush; a cancellation there fails the batch
+// with the context's error, the HITs opened stay charged, and the
+// questions the batch left waiting in the other backend's open HIT are
+// dropped with it — the marketplace outlives the batch (a served fleet
+// answers many resolves), so the next one must neither flush nor be
+// misaligned by them.
+func TestScoreBatchCtxCancelInsideHIT(t *testing.T) {
+	pairs := disjointPairs(9)
+	scores := make(map[record.Pair]float64, len(pairs))
+	prior := make(map[record.Pair]float64, len(pairs))
+	for i, p := range pairs {
+		scores[p] = float64(i) / 10
+		// Near-certain priors route to "sure" (only an accurate answer
+		// still tells anything), uncertain ones to "cheap".
+		prior[p] = 0.5
+		if i < 3 {
+			prior[p] = 0.97
+		}
+	}
+	answers := crowd.FixedAnswers(scores, crowd.ThreeWorker(1))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	sure := &cancellingBackend{AnswerSet: answers, cancel: cancel}
+	cheap := newCounting(answers)
+	m := New(Config{
+		// Neither HIT fills, so both flush at the end of the batch, in
+		// fleet order: sure's first.
+		Backends: []Backend{
+			{ID: "sure", Source: sure, CentsPerHIT: 7, PairsPerHIT: 20, ErrorRate: 0.01},
+			{ID: "cheap", Source: cheap, CentsPerHIT: 1, PairsPerHIT: 20, ErrorRate: 0.2},
+		},
+		BudgetCents: Unlimited,
+		Prior:       func(p record.Pair) float64 { return prior[p] },
+	})
+	if _, err := m.ScoreBatchCtx(ctx, pairs); err != context.Canceled {
+		t.Fatalf("batch cancelled inside a HIT returned %v, want context.Canceled", err)
+	}
+	if sure.calls != 1 || len(cheap.asked) != 0 {
+		t.Fatalf("sure flushed %d HITs, cheap answered %d questions; want the cancellation inside sure's first HIT with cheap's still open",
+			sure.calls, len(cheap.asked))
+	}
+	spent := m.Spent()
+	if spent != 7+1 {
+		t.Errorf("spent %d cents, want both opened HITs (7+1) to stay charged", spent)
+	}
+
+	next := pairs[7:] // shorter than the dead batch: a stale slot index would be out of range
+	got, err := m.ScoreBatchCtx(context.Background(), next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range next {
+		if got[i] != scores[p] {
+			t.Errorf("after the cancelled batch out[%d] = %v, want %v", i, got[i], scores[p])
+		}
+	}
+	if len(cheap.order) != len(next) {
+		t.Errorf("cheap answered %d questions for a batch of %d: the dead batch's waiting questions were flushed", len(cheap.order), len(next))
+	}
+}
+
 // TestVoteCountAndConfig: votes reflect the selling backend's worker
 // count, and Config() exposes the first paid backend's setting.
 func TestVoteCountAndConfig(t *testing.T) {

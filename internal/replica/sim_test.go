@@ -24,10 +24,10 @@ import (
 
 // simOp is one scripted leader operation.
 type simOp struct {
-	kind    string // "add", "answer", "resolve", "checkpoint"
-	recs    []incremental.Record
-	aIdx    [2]int // acked-gid indices for an answer op
-	fc      float64
+	kind string // "add", "answer", "resolve", "checkpoint"
+	recs []incremental.Record
+	aIdx [2]int // acked-gid indices for an answer op
+	fc   float64
 }
 
 // buildOps scripts a deterministic workload: mostly adds with

@@ -7,6 +7,10 @@
 // crash-image drills) without shelling out to a binary. cmd/acdserve is
 // a thin flags-and-lifecycle wrapper around this package; the HTTP API
 // the two expose is identical and documented in docs/serving.md.
+//
+// Resolve questions go to Config.Source, else to the marketplace
+// Config.Fleet describes (a one-backend fleet is a simulated crowd), else
+// to machine similarity scores.
 package serve
 
 import (
@@ -68,19 +72,20 @@ type Config struct {
 	// from a fresh recorder).
 	Obs *obs.Recorder
 	// Source answers residual crowd questions during /resolve. Nil
-	// falls back to machine similarity scores. DegradedCrowd builds a
-	// simulated source with injected latency and faults for the
-	// degraded-crowd load scenarios.
+	// falls back to Fleet, then to machine similarity scores.
 	Source crowd.Source
 	// Fleet is a marketplace fleet spec (internal/market.ParseFleet
 	// grammar: "id:centsPerHIT:pairsPerHIT:errorRate[:opt...]" entries
-	// joined by ';'). When non-empty and Source is nil, residual
-	// resolve questions route through a budget-aware marketplace over
-	// the specified backends, each answering from the same
-	// deterministic pseudo-crowd DegradedCrowd simulates; faulty
-	// backends ("drop=", "fault=" options) go through the chaos and
-	// retry machinery. Per-backend spend, latency, and accuracy land
-	// in the Obs recorder's market/* and crowd/backend/* metrics.
+	// joined by ';', or "default"). When non-empty and Source is nil,
+	// residual resolve questions route through a budget-aware
+	// marketplace over the specified backends, each answering from the
+	// deterministic pseudo-crowd PairScore(Seed); faulty backends
+	// ("spike=", "drop=", "fault=" options) go through the chaos and
+	// retry machinery on the wall clock. A one-backend fleet such as
+	// "sim:2:20:0:lat=500us:spike=0.05:drop=0.05:fault=0.05:timeout=10ms"
+	// is the simulated degraded crowd of the load scenarios. Per-backend
+	// spend, latency, and accuracy land in the Obs recorder's market/*
+	// and crowd/backend/* metrics.
 	Fleet string
 	// FleetBudget caps total marketplace spend in cents; 0 or negative
 	// means unlimited. Once exhausted, questions fall back to the

@@ -8,6 +8,9 @@ import (
 	"testing"
 	"time"
 
+	"acd/internal/crowd"
+	"acd/internal/market"
+	"acd/internal/obs"
 	"acd/internal/record"
 )
 
@@ -150,19 +153,15 @@ func TestOpenRecoversJournal(t *testing.T) {
 }
 
 // TestDegradedCrowd: a server whose resolve path goes through the
-// simulated degraded crowd still resolves (slower, deterministically),
-// and the fallback answers agree with the primary path.
+// simulated degraded crowd — a one-backend fleet with fault options —
+// still resolves (slower, deterministically), and the fallback answers
+// agree with the primary path.
 func TestDegradedCrowd(t *testing.T) {
+	rec := obs.New()
 	l, err := StartLocal(Config{
-		Seed: 7,
-		Source: DegradedCrowd(SimCrowdConfig{
-			Seed:        7,
-			BaseLatency: 50 * time.Microsecond,
-			Spike:       0.1,
-			Drop:        0.2,
-			Error:       0.1,
-			Timeout:     5 * time.Millisecond,
-		}),
+		Seed:  7,
+		Obs:   rec,
+		Fleet: "sim:2:20:0:lat=50us:spike=0.1:drop=0.2:fault=0.1:timeout=5ms",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -181,6 +180,12 @@ func TestDegradedCrowd(t *testing.T) {
 	}
 	if code, m := call(t, http.MethodGet, l.URL+"/clusters", ""); code != http.StatusOK || m["round"].(float64) != 1 {
 		t.Fatalf("GET /clusters: %d %v", code, m)
+	}
+	// The spec reached the chaos and retry layers: questions were
+	// attempted through ReliableSource and sold by the "sim" backend.
+	if rec.Counter(crowd.MetricAttempts) == 0 || rec.Counter(market.BackendMetric("sim", "questions")) == 0 {
+		t.Errorf("attempts %d, sim questions %d: the fleet spec built no faulty backend",
+			rec.Counter(crowd.MetricAttempts), rec.Counter(market.BackendMetric("sim", "questions")))
 	}
 }
 

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"hash/fnv"
-	"time"
 
 	"acd/internal/crowd"
 	"acd/internal/market"
@@ -10,89 +9,23 @@ import (
 	"acd/internal/record"
 )
 
-// SimCrowdConfig parameterizes the simulated crowd source behind the
-// degraded-crowd scenarios: a deterministic pseudo-crowd whose answers
-// are a stable hash of the pair, wrapped in the PR 4 fault machinery —
-// ChaosSource injects latency spikes, drops, and transient errors on
-// the wall clock; ReliableSource retries, hedges, and degrades to the
-// hash answer when the deadline passes. Because the injected latency is
-// real (the resolve handler actually waits), GET-side snapshot reads
-// can be measured against a server whose resolve path is crawling.
-type SimCrowdConfig struct {
-	// Seed drives answers and every fault draw.
-	Seed int64
-	// BaseLatency is the median simulated answer latency (default
-	// 500µs — per-question, so even small resolves feel a slow crowd).
-	BaseLatency time.Duration
-	// Spike, Drop and Error are the ChaosSource fault probabilities
-	// (spike multiplies latency 25×; a drop forces a timeout+retry).
-	Spike float64
-	Drop  float64
-	Error float64
-	// Timeout and Retries bound each question (defaults 50ms / 1
-	// retry; generous crowd defaults would wedge a load scenario).
-	Timeout time.Duration
-	Retries int
-}
-
-// DegradedCrowd builds the simulated degraded crowd source from cfg.
-func DegradedCrowd(cfg SimCrowdConfig) crowd.Source {
-	if cfg.BaseLatency == 0 {
-		cfg.BaseLatency = 500 * time.Microsecond
-	}
-	if cfg.Timeout == 0 {
-		cfg.Timeout = 50 * time.Millisecond
-	}
-	if cfg.Retries == 0 {
-		cfg.Retries = 1
-	}
-	answer := PairScore(cfg.Seed)
-	chaos := crowd.NewChaos(
-		crowd.SourceFunc{Fn: answer, Setting: crowd.ThreeWorker(cfg.Seed)},
-		crowd.ChaosConfig{
-			Seed:        cfg.Seed,
-			BaseLatency: cfg.BaseLatency,
-			SpikeProb:   cfg.Spike,
-			DropProb:    cfg.Drop,
-			ErrorProb:   cfg.Error,
-		})
-	// Backoff must scale with the timeout: the library default (200ms)
-	// is sized for a real crowd, and at a ~10% fault rate it would add
-	// ~20ms to the *average* question — dwarfing the latency being
-	// simulated.
-	backoff := cfg.Timeout / 4
-	if backoff < 100*time.Microsecond {
-		backoff = 100 * time.Microsecond
-	}
-	return crowd.NewReliable(chaos, crowd.ReliableConfig{
-		Timeout:    cfg.Timeout,
-		Retries:    cfg.Retries,
-		Backoff:    backoff,
-		MaxBackoff: cfg.Timeout,
-		Seed:       cfg.Seed,
-		Fallback:   answer,
-		// Clock nil = wall clock: the injected latency is real.
-	})
-}
-
 // marketSource builds the marketplace source behind Config.Fleet: the
 // parsed fleet's backends all answer from the same deterministic
-// pseudo-crowd DegradedCrowd simulates (each with its own calibrated
-// noise), and the router's spend and per-backend accounting flow into
-// rec as market/* and crowd/backend/* metrics, which GET /metrics then
-// serves. budget <= 0 means unlimited.
+// pseudo-crowd, PairScore(seed), each with its own calibrated noise and
+// — for specs with spike=/drop=/fault= options — real injected latency
+// and faults on the wall clock, so the resolve handler actually
+// waits and GET-side snapshot reads can be measured against a server
+// whose resolve path is crawling. The router's spend and per-backend
+// accounting flow into rec as market/* and crowd/backend/* metrics,
+// which GET /metrics then serves. budget <= 0 means unlimited.
 func marketSource(spec string, budget int, seed int64, rec *obs.Recorder) (crowd.Source, error) {
 	backends, err := market.Fleet(spec, PairScore(seed), seed)
 	if err != nil {
 		return nil, err
 	}
-	b := market.Unlimited
-	if budget > 0 {
-		b = budget
-	}
 	m := market.New(market.Config{
 		Backends:     backends,
-		BudgetCents:  b,
+		BudgetCents:  market.FlagBudget(budget),
 		Order:        market.OrderConfidence,
 		ShortCircuit: true,
 		Seed:         seed,
