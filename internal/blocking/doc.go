@@ -16,6 +16,16 @@
 //   - MinHashJoin — an LSH approximation of the same join, for scale.
 //   - SortedNeighborhood — merge/purge windowing [28].
 //
+// IncrementalIndex is the online form of the same join, for records that
+// arrive one at a time (internal/incremental, and internal/shard's
+// cross-shard probe). It keeps no prefix and verifies no candidates: it
+// interns tokens to integers, keeps a full inverted index, and on each
+// Add count-merges the new record's posting lists, which yields the
+// exact overlap — hence the exact Jaccard score — with every record
+// sharing a token. That is exact by construction rather than by a
+// filter's completeness proof, and it is what makes an Add cost a walk
+// over integers instead of a string merge per candidate.
+//
 // The *Parallel variants in parallel.go shard the join over a worker
 // pool with byte-identical output; the *Obs variants additionally
 // report the pruning/* funnel counters, per-stage phase timers, and

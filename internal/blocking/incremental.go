@@ -1,35 +1,51 @@
 package blocking
 
 import (
+	"strings"
+
 	"acd/internal/record"
-	"acd/internal/similarity"
 )
 
 // IncrementalIndex is the online counterpart of JaccardJoin: an exact
 // token-Jaccard similarity join maintained one record at a time. Each
 // Add indexes one new record and returns every pair it forms with an
-// already-indexed record whose Jaccard similarity strictly exceeds tau —
-// verified exactly, so over any insertion order the union of emitted
-// pairs equals JaccardJoin over the full record set (the equivalence
-// property test pins this).
+// already-indexed record whose Jaccard similarity strictly exceeds tau,
+// so over any insertion order the union of emitted pairs equals
+// JaccardJoin over the full record set (the equivalence property test
+// pins this).
 //
-// The index stores every token of every indexed record (a full inverted
-// index), while probes consult only the new record's prefix under the
-// standard count argument: Jaccard(q, r) > tau implies
-// |q ∩ r| > tau·|q|, so skipping the last floor(tau·|q|) probe tokens
-// cannot skip every shared token, whatever the token order. Unlike the
-// batch join's frequency-ordered prefix filter, this holds for any
-// fixed per-record order — sorted order here, so probes are
-// deterministic. Candidates then pass the length filter and exact
-// verification, identical to the batch path.
+// Overlaps are computed by count-merge, not by verifying candidates:
+// tokens are interned to dense integer ids, each token keeps the
+// ascending list of records holding it, and an Add walks the lists of
+// the new record's tokens once, bumping a per-record counter. When the
+// walk ends the counter of record r is exactly |q ∩ r| — every shared
+// token's list names r once — and with the stored set sizes the score
+// is c/(|q|+|r|−c), the same float expression similarity.JaccardSorted
+// evaluates. Nothing is filtered, so there is no filter to prove
+// complete: a record sharing no token scores 0 and can never exceed
+// tau ≥ 0, and every other record is scored exactly. The cost of an Add
+// is the summed length of the lists it walks — integer increments, no
+// string comparison, no map lookup and no allocation per candidate. A
+// token held by most records (a stop-word) makes that walk linear in
+// the index, at about 2 ns per entry: BenchmarkIncrementalIndexAdd
+// measures 15 µs per Add at 4 000 dataset.Synthetic records, which
+// carry four such tokens each, and 58 µs at 16 000.
 //
 // The incremental dedup engine feeds every Add through this index to
-// maintain its candidate-pair frontier as records stream in.
+// maintain its candidate-pair frontier as records stream in, and the
+// shard router keeps a second one over all records for cross-shard
+// pairs.
 type IncrementalIndex struct {
 	tau      float64
-	tokens   [][]string         // per record: sorted distinct tokens
-	postings map[string][]int32 // token -> ids of indexed records, ascending
-	nTokens  int                // total postings entries, for stats
+	ids      map[string]int32 // token -> dense token id, in first-seen order
+	postings [][]int32        // token id -> records holding it, ascending
+	sizes    []int32          // record -> distinct token count
+	nTokens  int              // total postings entries, for stats
+
+	// Scratch reused by every Add, so a probe allocates nothing.
+	overlap []int32 // record -> tokens shared with the record being added; all zero between Adds
+	touched []int32 // records with overlap > 0, in first-touch order
+	query   []int32 // distinct token ids of the record being added
 }
 
 // NewIncrementalIndex returns an empty index with the given pruning
@@ -37,14 +53,14 @@ type IncrementalIndex struct {
 // Jaccard similarity strictly exceeds tau.
 func NewIncrementalIndex(tau float64) *IncrementalIndex {
 	return &IncrementalIndex{
-		tau:      tau,
-		postings: make(map[string][]int32),
+		tau: tau,
+		ids: make(map[string]int32),
 	}
 }
 
 // Len returns the number of records indexed so far; the next Add
 // receives this value as its record ID.
-func (ix *IncrementalIndex) Len() int { return len(ix.tokens) }
+func (ix *IncrementalIndex) Len() int { return len(ix.sizes) }
 
 // Tau returns the index's pruning threshold.
 func (ix *IncrementalIndex) Tau() float64 { return ix.tau }
@@ -58,46 +74,57 @@ func (ix *IncrementalIndex) Postings() int { return ix.nTokens }
 // records: exact Jaccard > tau, sorted by descending score with ties by
 // ascending partner ID — deterministic, like the batch join's order.
 func (ix *IncrementalIndex) Add(text string) []ScoredPair {
-	id := int32(len(ix.tokens))
-	toks := record.SortedTokens(text)
-	ix.tokens = append(ix.tokens, toks)
-	if len(toks) == 0 {
-		return nil
-	}
+	id := int32(len(ix.sizes))
 
-	// Probe the prefix against the full index, dedup candidate partners.
-	p := prefixLen(len(toks), ix.tau)
-	seen := make(map[int32]struct{})
-	var out []ScoredPair
-	for _, t := range toks[:p] {
-		for _, j := range ix.postings[t] {
-			if _, dup := seen[j]; dup {
-				continue
-			}
-			seen[j] = struct{}{}
-			other := ix.tokens[j]
-			// Length filter: Jaccard ≤ min/max of the token-set sizes.
-			lo, hi := len(toks), len(other)
-			if lo > hi {
-				lo, hi = hi, lo
-			}
-			if float64(lo)/float64(hi) <= ix.tau {
-				continue
-			}
-			if score := similarity.JaccardSorted(toks, other); score > ix.tau {
-				out = append(out, ScoredPair{
-					Pair:  record.MakePair(record.ID(id), record.ID(j)),
-					Score: score,
-				})
+	// Index first: the record's own entry is the last of each list it
+	// joins, which is also how a repeated token is recognised.
+	ix.query = ix.query[:0]
+	for _, tok := range record.Tokens(text) {
+		tid, known := ix.ids[tok]
+		if !known {
+			tid = int32(len(ix.postings))
+			// The token is a substring of the normalized text; a copy
+			// keeps the map from pinning every record's text.
+			ix.ids[strings.Clone(tok)] = tid
+			ix.postings = append(ix.postings, nil)
+		}
+		list := ix.postings[tid]
+		if n := len(list); n > 0 && list[n-1] == id {
+			continue
+		}
+		ix.postings[tid] = append(list, id)
+		ix.query = append(ix.query, tid)
+	}
+	size := len(ix.query)
+	ix.sizes = append(ix.sizes, int32(size))
+	ix.overlap = append(ix.overlap, 0)
+	ix.nTokens += size
+
+	// Locals keep the slice headers in registers across the walk.
+	overlap, touched := ix.overlap, ix.touched
+	for _, tid := range ix.query {
+		list := ix.postings[tid]
+		for _, j := range list[:len(list)-1] {
+			c := overlap[j]
+			overlap[j] = c + 1
+			if c == 0 {
+				touched = append(touched, j)
 			}
 		}
 	}
-	// Index every token so future probes can find this record through
-	// any of them.
-	for _, t := range toks {
-		ix.postings[t] = append(ix.postings[t], id)
+
+	var out []ScoredPair
+	for _, j := range touched {
+		c := int(overlap[j])
+		overlap[j] = 0
+		if score := float64(c) / float64(size+int(ix.sizes[j])-c); score > ix.tau {
+			out = append(out, ScoredPair{
+				Pair:  record.MakePair(record.ID(id), record.ID(j)),
+				Score: score,
+			})
+		}
 	}
-	ix.nTokens += len(toks)
+	ix.touched = touched[:0]
 	sortScored(out)
 	return out
 }

@@ -351,6 +351,11 @@ func runDegradedCrowd(o Options) (*load.Report, error) {
 	return runWorkload(o, "degraded-crowd", fleet, nil, func(c *load.Config) {
 		resolveHeavy(o, c)
 		if o.Smoke {
+			// The first pass faces everything ingested before it, and
+			// an empty server ingests a 300-record pool's worth in about
+			// 100 ms: the cadence tightens so that backlog, at the faulty
+			// crowd's pace, still finishes inside the stretched window.
+			c.ResolveEvery = 50 * time.Millisecond
 			c.Duration = 1200 * time.Millisecond
 		}
 	})

@@ -66,6 +66,15 @@ type Group struct {
 	// nil for single-shard groups (no pair can cross).
 	probe   *blocking.IncrementalIndex
 	handoff []blocking.ScoredPair // cross-shard pending pairs, gid space
+	// handoffLive counts the handoff pairs with both endpoints live —
+	// the ones snapshots report and a resolve gathers. A pair joins the
+	// count when the later of its endpoints is acknowledged: awaited
+	// lists, for each gid not yet live, the partners of its handoff
+	// pairs, so publishing never rescans the queue.
+	handoffLive int
+	awaited     map[int][]int
+
+	gauges []shardGauges // per-shard gauge names, built once
 
 	snap atomic.Pointer[Snapshot]
 }
@@ -150,11 +159,18 @@ func newGroup(cfg Config, layout *journal.Layout) (*Group, error) {
 	g.intakeOK = sync.NewCond(&g.mu)
 	if st.n > 1 {
 		g.probe = blocking.NewIncrementalIndex(cfg.Engine.EffectiveTau())
+		g.awaited = make(map[int][]int)
 	}
 	g.shards = make([]*shardState, st.n)
 	g.stats = make([]ShardStats, st.n)
+	g.gauges = make([]shardGauges, st.n)
 	for i := range g.shards {
 		g.shards[i] = &shardState{id: i, eng: st.engines[i], q: newOpQueue(), ack: newOpQueue()}
+		g.gauges[i] = shardGauges{
+			records: ShardGauge(GaugeShardRecords, i),
+			pending: ShardGauge(GaugeShardPending, i),
+			answers: ShardGauge(GaugeShardAnswers, i),
+		}
 	}
 	if layout != nil {
 		if err := g.recover(layout); err != nil {
@@ -258,7 +274,7 @@ func (g *Group) Add(recs ...incremental.Record) ([]int, error) {
 			// shards are the ones no shard can discover on its own.
 			for _, sp := range g.probe.Add(text) {
 				if g.st.home[int(sp.Pair.Lo)] != sid {
-					g.handoff = append(g.handoff, sp)
+					g.queueHandoffLocked(sp)
 				}
 			}
 		}
@@ -312,9 +328,37 @@ func (g *Group) acked(s *shardState, ev journal.Event, wait <-chan error, err er
 	if err := g.st.routeShard(s.id, ev); err != nil {
 		return err
 	}
+	if ev.Record != nil {
+		g.handoffWentLiveLocked(g.st.gidOf(*ev.Record))
+	}
 	g.stats[s.id] = st
 	g.publishSnapshotLocked()
 	return nil
+}
+
+// queueHandoffLocked queues a cross-shard candidate pair the probe just
+// emitted. Its Hi endpoint is the record being routed, so the pair
+// cannot be live yet.
+func (g *Group) queueHandoffLocked(sp blocking.ScoredPair) {
+	lo, hi := int(sp.Pair.Lo), int(sp.Pair.Hi)
+	g.handoff = append(g.handoff, sp)
+	g.awaited[hi] = append(g.awaited[hi], lo)
+	if !g.st.live(lo) {
+		g.awaited[lo] = append(g.awaited[lo], hi)
+	}
+}
+
+// handoffWentLiveLocked counts the handoff pairs that gid's
+// acknowledgment completes: those whose other endpoint is live already.
+// The rest are counted when that endpoint is acknowledged, or never if
+// it stays a hole.
+func (g *Group) handoffWentLiveLocked(gid int) {
+	for _, other := range g.awaited[gid] {
+		if g.st.live(other) {
+			g.handoffLive++
+		}
+	}
+	delete(g.awaited, gid)
 }
 
 // ValidateAnswer checks whether (lo,hi,fc) — in global ids — is an
@@ -519,7 +563,9 @@ func (g *Group) Resolve(ctx context.Context) (incremental.ResolveStats, error) {
 		g.failed = err
 		return stats, err
 	}
-	g.handoff = nil // every handoff pair has Hi < n and is now covered
+	// Every handoff pair has Hi < n and is now covered.
+	g.handoff, g.handoffLive = nil, 0
+	clear(g.awaited)
 	g.router.autoCheckpoint()
 	return stats, nil
 }

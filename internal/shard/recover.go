@@ -77,7 +77,8 @@ func (g *Group) recover(layout *journal.Layout) error {
 // rebuildProbe recomputes the probe index and handoff queue by
 // replaying the record stream in gid order; holes contribute an empty
 // text (no tokens, no pairs), which keeps the index ids aligned with
-// gids.
+// gids. Liveness is final here — a hole in a recovered journal stays
+// one — so only live pairs are queued and none is awaited.
 func (g *Group) rebuildProbe() {
 	st := g.st
 	for gid := 0; gid < st.nextGID; gid++ {
@@ -93,4 +94,5 @@ func (g *Group) rebuildProbe() {
 			}
 		}
 	}
+	g.handoffLive = len(g.handoff)
 }

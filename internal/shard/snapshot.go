@@ -5,7 +5,14 @@ import "fmt"
 // Snapshot is an immutable view of the group's clustering state,
 // published behind an atomic pointer on every mutation. Readers load
 // it wait-free: serving GET /clusters from a snapshot never touches
-// the group mutex, the shard queues, or any engine. All ids are
+// the group mutex, the shard queues, or any engine, and finds Clusters
+// fully materialised. The publisher does not pay for that per mutation
+// either: an acknowledged record appends one singleton to a listing the
+// state keeps current, an answer changes nothing in it, and the
+// snapshot's Clusters is a capacity-clamped header over that listing's
+// array, whose published elements are never written again. Only a
+// resolve or checkpoint that installs a clustering — or a record
+// acknowledged out of gid order — has the listing rebuilt. All ids are
 // global ids.
 type Snapshot struct {
 	// Shards is the group's shard count.
@@ -45,23 +52,20 @@ type ShardStats struct {
 // replaced wholesale.
 func (g *Group) Snapshot() *Snapshot { return g.snap.Load() }
 
-// publishSnapshotLocked rebuilds the immutable snapshot from current
-// state and swaps it in. Callers hold mu, so every published snapshot
-// is some fully-applied state — readers can never see a torn one. The
-// per-shard figures come from the stats mirrors (maintained by each
-// engine's owner), never from the engines directly: another shard's
-// engine may be mid-append when this runs.
+// publishSnapshotLocked swaps in a snapshot of the current state.
+// Callers hold mu, so every published snapshot is some fully-applied
+// state — readers can never see a torn one. The per-shard figures come
+// from the stats mirrors (maintained by each engine's owner), never
+// from the engines directly: another shard's engine may be mid-append
+// when this runs.
 func (g *Group) publishSnapshotLocked() {
-	handoff := 0
-	for _, sp := range g.handoff {
-		if g.st.live(int(sp.Pair.Lo)) && g.st.live(int(sp.Pair.Hi)) {
-			handoff++
-		}
-	}
-	snap := g.st.snapshot(g.stats, handoff)
+	snap := g.st.snapshot(g.stats, g.handoffLive)
 	g.snap.Store(snap)
 	g.publishGaugesLocked(snap)
 }
+
+// shardGauges holds one shard's instantiated gauge names.
+type shardGauges struct{ records, pending, answers string }
 
 // publishGaugesLocked exports per-shard occupancy gauges.
 func (g *Group) publishGaugesLocked(snap *Snapshot) {
@@ -72,9 +76,9 @@ func (g *Group) publishGaugesLocked(snap *Snapshot) {
 	rec.Gauge(GaugeShards, float64(snap.Shards))
 	rec.Gauge(GaugeHandoffPairs, float64(len(g.handoff)))
 	for i, st := range snap.PerShard {
-		rec.Gauge(ShardGauge(GaugeShardRecords, i), float64(st.Records))
-		rec.Gauge(ShardGauge(GaugeShardPending, i), float64(st.PendingPairs))
-		rec.Gauge(ShardGauge(GaugeShardAnswers, i), float64(st.Answers))
+		rec.Gauge(g.gauges[i].records, float64(st.Records))
+		rec.Gauge(g.gauges[i].pending, float64(st.PendingPairs))
+		rec.Gauge(g.gauges[i].answers, float64(st.Answers))
 	}
 }
 

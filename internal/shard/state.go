@@ -49,6 +49,20 @@ type state struct {
 	clusters     *unionfind.Growable
 	round        int
 	resolvedUpTo int
+
+	// listing is what snapshots publish as Clusters: clusters in its
+	// canonical order, restricted to live gids. It is kept current per
+	// record instead of recomputed per snapshot: a gid that goes live at
+	// or above listedTo is a singleton sorting after every listed
+	// cluster, so it is appended — into spare capacity no published
+	// snapshot can see, or into a fresh array. Anything else (a resolve
+	// or checkpoint installing a clustering, a gid going live below
+	// listedTo because acks of different shards reordered or a
+	// follower's router stream ran ahead) sets relist, and the next
+	// snapshot rebuilds the listing into fresh arrays.
+	listing  [][]int
+	listedTo int // every gid at or above it is a singleton of clusters and absent from listing
+	relist   bool
 }
 
 func newState(cfg Config) (*state, error) {
@@ -215,6 +229,7 @@ func (st *state) setGlobal(round, resolvedUpTo int, clusters [][]int) error {
 	}
 	st.growGIDs(top)
 	st.clusters = forestOf(clusters, st.nextGID)
+	st.relist = true
 	st.round = round
 	st.resolvedUpTo = resolvedUpTo
 	return nil
@@ -293,6 +308,12 @@ func (st *state) registerGID(i, gid, lid int) error {
 	st.home[gid] = i
 	st.local[gid] = lid
 	st.gids[i] = append(st.gids[i], gid)
+	if gid < st.listedTo {
+		st.relist = true
+	} else if !st.relist {
+		st.listing = append(st.listing, []int{gid})
+		st.listedTo = gid + 1
+	}
 	return nil
 }
 
@@ -383,10 +404,13 @@ func forestOf(clusters [][]int, n int) *unionfind.Growable {
 	return uf
 }
 
-// snapshot builds the immutable published view of the state. perShard
+// snapshot returns the immutable published view of the state. perShard
 // is each engine's occupancy (a live group passes mirrors, because its
 // engines may be mid-append) and handoff the count of live cross-shard
 // candidate pairs awaiting a resolve, which only a live group tracks.
+// Clusters is a capacity-clamped header over the listing: elements a
+// snapshot can reach are never written again, so the cost here is the
+// shard count unless the listing is stale.
 func (st *state) snapshot(perShard []ShardStats, handoff int) *Snapshot {
 	snap := &Snapshot{
 		Shards:       st.n,
@@ -401,19 +425,41 @@ func (st *state) snapshot(perShard []ShardStats, handoff int) *Snapshot {
 		snap.PendingPairs += ps.PendingPairs
 		snap.Answers += ps.Answers
 	}
+	if st.relist {
+		st.rebuildListing()
+	}
+	if n := len(st.listing); n > 0 {
+		snap.Clusters = st.listing[:n:n]
+	}
+	return snap
+}
+
+// rebuildListing recomputes the listing from the forest and the id
+// maps: every cluster in canonical order, hole members dropped, empty
+// clusters dropped. Sets hands back arrays nobody else holds, so the
+// filter runs in place. listedTo lands just past the last gid that is
+// listed or clustered with another, not at nextGID: reserved ids still
+// awaiting their acknowledgment stay appendable.
+func (st *state) rebuildListing() {
 	st.clusters.Grow(st.nextGID)
-	for _, set := range st.clusters.Sets(st.nextGID) {
-		live := make([]int, 0, len(set))
+	sets := st.clusters.Sets(st.nextGID)
+	listing, listedTo := sets[:0], 0
+	for _, set := range sets {
+		last := set[len(set)-1]
+		live := set[:0]
 		for _, gid := range set {
 			if st.live(gid) {
 				live = append(live, gid)
 			}
 		}
 		if len(live) > 0 {
-			snap.Clusters = append(snap.Clusters, live)
+			listing = append(listing, live)
+		}
+		if (len(live) > 0 || len(set) > 1) && last >= listedTo {
+			listedTo = last + 1
 		}
 	}
-	return snap
+	st.listing, st.listedTo, st.relist = listing, listedTo, false
 }
 
 // statsOf reads one engine's occupancy; the caller must own the engine.

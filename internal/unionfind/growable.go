@@ -52,22 +52,36 @@ func (u *Growable) Clone() *Growable {
 }
 
 // Sets returns the partition of 0..n-1 in canonical form: members
-// ascending within each set, sets ordered by their smallest member.
+// ascending within each set, sets ordered by their smallest member. The
+// sets are carved, capacity-clamped, out of one backing array, so the
+// listing costs four allocations whatever the number of sets.
 func (u *Growable) Sets(n int) [][]int {
-	bySet := make(map[int][]int)
-	var roots []int
-	for i := 0; i < n; i++ {
+	// Pass 1: every element's root, and each set's size at its root.
+	root := make([]int, n)
+	size := make([]int, n)
+	sets := 0
+	for i := range root {
 		r := u.Find(i)
-		if _, ok := bySet[r]; !ok {
-			roots = append(roots, r)
+		root[i] = r
+		if size[r] == 0 {
+			sets++
 		}
-		bySet[r] = append(bySet[r], i)
+		size[r]++
 	}
-	// Min-root makes every root its set's first member, and roots were
-	// discovered in ascending order of that first member.
-	out := make([][]int, 0, len(roots))
-	for _, r := range roots {
-		out = append(out, bySet[r])
+	// Pass 2: min-root makes every root its set's first member, so an
+	// ascending scan meets a set's root before its other members and
+	// meets the roots in listing order. size[r] turns from the set's
+	// size into its index in out.
+	members := make([]int, 0, n)
+	out := make([][]int, 0, sets)
+	for i, r := range root {
+		if i == r {
+			end := len(members) + size[r]
+			size[r] = len(out)
+			out = append(out, members[len(members):len(members):end])
+			members = members[:end]
+		}
+		out[size[r]] = append(out[size[r]], i)
 	}
 	return out
 }

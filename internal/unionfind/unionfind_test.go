@@ -119,3 +119,51 @@ func TestSetsPartition(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// setsByMap is the map-grouping Sets that Growable shipped with, kept
+// as the reference the slice-grouping one is compared against.
+func setsByMap(u *Growable, n int) [][]int {
+	bySet := make(map[int][]int)
+	var roots []int
+	for i := 0; i < n; i++ {
+		r := u.Find(i)
+		if _, ok := bySet[r]; !ok {
+			roots = append(roots, r)
+		}
+		bySet[r] = append(bySet[r], i)
+	}
+	out := make([][]int, 0, len(roots))
+	for _, r := range roots {
+		out = append(out, bySet[r])
+	}
+	return out
+}
+
+// Property: over random forests — grown in steps, unioned at random,
+// listed over the whole universe and over prefixes of it — Growable.Sets
+// returns exactly what the map-grouping reference returns, and a set
+// handed out cannot be appended into its neighbour.
+func TestGrowableSetsMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		u := &Growable{}
+		for step := 0; step < 4; step++ {
+			u.Grow(u.Len() + rng.Intn(30))
+			for k := rng.Intn(2 * (u.Len() + 1)); k > 0 && u.Len() > 0; k-- {
+				u.Union(rng.Intn(u.Len()), rng.Intn(u.Len()))
+			}
+			for _, n := range []int{u.Len(), rng.Intn(u.Len() + 1), 0} {
+				got, want := u.Sets(n), setsByMap(u, n)
+				if got == nil || !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d step %d: Sets(%d) = %v, reference %v", seed, step, n, got, want)
+				}
+				if len(got) > 1 {
+					_ = append(got[0], -1)
+					if again := u.Sets(n); !reflect.DeepEqual(got, again) {
+						t.Fatalf("seed %d: appending to a set changed the listing: %v, want %v", seed, got, again)
+					}
+				}
+			}
+		}
+	}
+}

@@ -12,7 +12,7 @@
 #   BENCHTIME  go test -benchtime value (default: 2s)
 #   COUNT      go test -count value; runs are averaged (default: 3)
 #   BENCH      go test -bench regex (default: the core hot-path suite)
-#   PKG        package to benchmark (default: the repo root)
+#   PKG        package(s) to benchmark, space-separated (default: the repo root)
 #
 # The default benchmark set is the core hot-path suite named in ISSUE 3:
 # PC-Pivot, PC-Refine, the pruning-phase Jaccard join, the full-pipeline
@@ -34,6 +34,6 @@ trap 'rm -f "$tmp"' EXIT
 
 go test -run NONE \
     -bench "${BENCH:-PCPivot$|PCRefine$|PruningJaccardJoin$|ScaleACD$|Lambda$}" \
-    -benchmem -benchtime "${BENCHTIME:-2s}" -count "${COUNT:-3}" "${PKG:-.}" | tee "$tmp"
+    -benchmem -benchtime "${BENCHTIME:-2s}" -count "${COUNT:-3}" ${PKG:-.} | tee "$tmp"
 
 go run ./internal/tools/benchjson -label "$label" -out "$out" < "$tmp"
