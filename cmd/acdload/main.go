@@ -95,7 +95,7 @@ func flags(o *options, errw io.Writer) *flag.FlagSet {
 	fs.IntVar(&o.churnEnts, "churn-entities", 500, "ground-truth entities in the churn pool")
 	fs.Float64Var(&o.churnNoise, "churn-noise", 0.15, "per-token corruption probability of churned duplicates")
 	fs.Int64Var(&o.seed, "seed", 1, "seed for the request sequence (arrivals, op picks, churn, answer pairs)")
-	fs.DurationVar(&o.commitWindow, "commit-window", 0, "journal group-commit window on self-hosted/scenario servers (0 = fsync per event)")
+	fs.DurationVar(&o.commitWindow, "commit-window", 0, "journal group-commit window on self-hosted/scenario servers (0 = one commit per request per journal; D > 0 additionally holds the group open up to D for concurrent requests)")
 	fs.Int64Var(&o.rotateBytes, "rotate-bytes", 0, "WAL segment rotation size on self-hosted/scenario servers (0 = no rotation)")
 	fs.StringVar(&o.out, "out", "", "write the suite report JSON here (merge into BENCH files with benchjson -load)")
 	fs.StringVar(&o.label, "label", "adhoc", "scenario label for ad-hoc (non -scenario) runs")

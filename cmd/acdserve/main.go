@@ -8,11 +8,14 @@
 // record, answer, and resolve effect is written ahead to per-shard WALs
 // (plus a router WAL for cross-shard state) with periodic compacted
 // checkpoints, and a restarted server recovers the exact clustering it
-// had before the crash. With -commit-window the per-shard WALs group
-// commit: concurrent appends inside the window share a single fsync
-// and acknowledgments are pipelined, multiplying ingest throughput
-// while preserving the committed-prefix contract — an id is reported
-// only once its event's group is durable.
+// had before the crash. The acknowledgment is the unit of durability:
+// each journal a request touches is fsynced once for that request, and
+// a resolve commits each crowd iteration's answers once per journal.
+// With -commit-window the per-shard WALs additionally hold a commit
+// group open so that concurrent requests share a single fsync;
+// acknowledgments are pipelined either way, and the committed-prefix
+// contract stands — an id is reported only once its event's group is
+// durable.
 //
 // The engine, handlers, and HTTP API live in internal/serve (so the
 // acdload scenario suite can embed the same server in-process); this
@@ -111,9 +114,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready cha
 	x := fs.Int("x", refine.DefaultX, "refinement budget divisor (T = N_m/x)")
 	seed := fs.Int64("seed", 1, "random seed for resolve permutations")
 	ckpt := fs.Int("checkpoint-every", 256, "journal events between automatic checkpoints (0 disables)")
-	commitWindow := fs.Duration("commit-window", 0, "journal group-commit window: concurrent appends within it share one fsync (0 = fsync per event)")
-	commitEvents := fs.Int("commit-events", 0, "max events per commit group before an early fsync (0 = 256; needs -commit-window)")
-	commitBytes := fs.Int64("commit-bytes", 0, "max WAL bytes per commit group before an early fsync (0 = 1 MiB; needs -commit-window)")
+	commitWindow := fs.Duration("commit-window", 0, "journal group-commit window: 0 = one commit per request per journal; D > 0 additionally holds the group open up to D for concurrent requests")
+	commitEvents := fs.Int("commit-events", 0, "max events per commit group before an early fsync (0 = 256)")
+	commitBytes := fs.Int64("commit-bytes", 0, "max WAL bytes per commit group before an early fsync (0 = 1 MiB)")
 	rotateBytes := fs.Int64("rotate-bytes", serve.DefaultRotateBytes, "rotate each live WAL segment past this size in bytes (0 disables rotation)")
 	follow := fs.String("follow", "", "leader replication stream URL (http://LEADER/replica/stream): start as a read-only follower mirroring that leader's journals")
 	replicaID := fs.String("replica-id", "", "replica name reported by GET /replica/status")

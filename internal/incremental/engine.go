@@ -56,9 +56,10 @@ type Config struct {
 	// CheckpointEvery writes a compacted snapshot after this many
 	// journal events; 0 disables automatic checkpoints.
 	CheckpointEvery int
-	// Commit is the journal group-commit policy. The zero value keeps
-	// one fsync per event; a nonzero Window batches concurrent appends
-	// into a single fsync per group and pipelines acknowledgments.
+	// Commit is the journal group-commit policy. The zero value commits
+	// once per request per journal; a nonzero Window additionally holds
+	// the group open so concurrent requests share its single fsync.
+	// Acknowledgments are pipelined either way.
 	Commit journal.GroupPolicy
 	// RotateBytes rotates the journal's live WAL segment once it grows
 	// past this size; 0 disables rotation.
@@ -278,8 +279,8 @@ const SourceMachine = "machine"
 
 // newResolveSession builds the crowd session a resolve pass uses over
 // the configured source (or the machine fallback over the scoped
-// scores). The session's observer pushes every fresh answer through the
-// sink — which journals and caches it — the moment its batch is
+// scores). The session's observer hands every iteration's fresh answers
+// to the sink — which journals and caches them — the moment the batch is
 // answered, before the algorithm acts on it. A crash after the answer
 // but before the resolve effect therefore recovers with the answer
 // cached, and the next resolve primes it for free, preserving
@@ -296,12 +297,7 @@ func newResolveSession(cfg Config, scores map[record.Pair]float64, sink AnswerSi
 		sess.SetRecorder(cfg.Obs)
 	}
 	sess.Observe(func(fresh []record.Pair, fcs []float64) error {
-		for i, p := range fresh {
-			if err := sink(p, fcs[i], label); err != nil {
-				return err
-			}
-		}
-		return nil
+		return sink(fresh, fcs, label)
 	})
 	return sess
 }

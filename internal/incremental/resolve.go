@@ -44,14 +44,16 @@ type ResolveStats struct {
 	Clusters int
 }
 
-// AnswerSink receives every fresh crowd answer the instant a resolve
-// pass obtains it, before the algorithms act on it — the WAL seam. A
-// bare engine's sink applies the answer event; the shard router's sink
-// logs it where the pair is homed (the owning shard's journal, or the
-// router's for cross-shard pairs) and then applies it. Sinks must be
-// idempotent: priming guarantees the session never re-asks a cached
-// pair, but a sink may still see a pair it already knows.
-type AnswerSink func(p record.Pair, fc float64, source string) error
+// AnswerSink receives a crowd iteration's fresh answers — pairs and
+// scores in asking order, one provenance label — the instant a resolve
+// pass obtains them, before the algorithms act on them: the WAL seam,
+// and the unit a durable owner commits. A bare engine's sink applies the
+// answer events; the shard router's sink logs each where its pair is
+// homed (the owning shard's journal, or the router's for cross-shard
+// pairs), commits every touched journal once, and applies them. Sinks
+// must be idempotent: priming guarantees the session never re-asks a
+// cached pair, but a sink may still see a pair it already knows.
+type AnswerSink func(fresh []record.Pair, fcs []float64, source string) error
 
 // ResolveState is the complete input of one resolve pass over a record
 // universe, with no reference back to any particular engine.
@@ -79,7 +81,7 @@ type ResolveState struct {
 	Answered []record.Pair
 	// Answer looks up a cached answer.
 	Answer func(p record.Pair) (fc float64, ok bool)
-	// Sink receives fresh answers as they are produced.
+	// Sink receives each iteration's fresh answers as they are produced.
 	Sink AnswerSink
 	// Ctx cancels the pass mid-crowd-iteration; nil never cancels.
 	Ctx context.Context
@@ -237,8 +239,13 @@ func (e *Engine) Resolve(ctx context.Context) (ResolveStats, error) {
 			fc, ok := e.answers[p]
 			return fc, ok
 		},
-		Sink: func(p record.Pair, fc float64, source string) error {
-			return e.Apply(AnswerEvent(p, fc, source))
+		Sink: func(fresh []record.Pair, fcs []float64, source string) error {
+			for i, p := range fresh {
+				if err := e.Apply(AnswerEvent(p, fcs[i], source)); err != nil {
+					return err
+				}
+			}
+			return nil
 		},
 		Ctx: ctx,
 	})

@@ -12,9 +12,10 @@ import (
 // benchCommitter measures the append path through a Committer: many
 // concurrent appenders, each blocking on its event's durability — the
 // shape acdserve's ingest handlers produce. Group size 1 is the
-// passthrough baseline (one fsync per event); 16 and 256 cap the commit
-// group. Reported metrics: events/sec (the b.N rate) and p99 append
-// latency in microseconds.
+// per-event baseline (Append — append, close, wait — one caller at a
+// time, so one fsync per event as in BENCH_8.json); 16 and 256 cap the
+// commit group. Reported metrics: events/sec (the b.N rate) and p99
+// append latency in microseconds.
 func benchCommitter(b *testing.B, fs FS, group int) {
 	b.Helper()
 	s, _, err := OpenOptions(fs, Options{})
@@ -35,6 +36,23 @@ func benchCommitter(b *testing.B, fs FS, group int) {
 	if workers < 32 {
 		workers = 32
 	}
+	// appendDurable is one worker's append, returning once it is durable.
+	appendDurable := func(i int) error {
+		_, wait, err := c.AppendAsync(recordEv(i))
+		if err != nil {
+			return err
+		}
+		return <-wait
+	}
+	if group == 1 {
+		var one sync.Mutex
+		appendDurable = func(i int) error {
+			one.Lock()
+			defer one.Unlock()
+			_, err := c.Append(recordEv(i))
+			return err
+		}
+	}
 	lat := histogram.NewLatency()
 	var wg sync.WaitGroup
 	work := make(chan int)
@@ -44,12 +62,7 @@ func benchCommitter(b *testing.B, fs FS, group int) {
 			defer wg.Done()
 			for i := range work {
 				t0 := time.Now()
-				_, wait, err := c.AppendAsync(recordEv(i))
-				if err != nil {
-					b.Error(err)
-					return
-				}
-				if err := <-wait; err != nil {
+				if err := appendDurable(i); err != nil {
 					b.Error(err)
 					return
 				}

@@ -116,6 +116,9 @@ type MemFS struct {
 	dirty  map[string][]byte // written-but-unsynced tail, per open file
 	failAt int               // countdown to injected write failure; 0 = off
 	ops    []string          // directory-op trace for fsync-discipline tests
+
+	syncs      int // file fsyncs attempted
+	failSyncAt int // countdown to injected fsync failure; 0 = off
 }
 
 // NewMemFS returns an empty in-memory filesystem.
@@ -129,6 +132,24 @@ func (m *MemFS) FailAfterWrites(n int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.failAt = n + 1
+}
+
+// FailAfterSyncs arms a fault: the n+1'th subsequent file Sync returns
+// an error and makes nothing durable. Used to check that a failed commit
+// fails every acknowledgment waiting on it.
+func (m *MemFS) FailAfterSyncs(n int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.failSyncAt = n + 1
+}
+
+// Syncs returns how many file fsyncs the journal has issued here — the
+// count the one-commit-per-request tests pin. Directory barriers are in
+// Ops, not here.
+func (m *MemFS) Syncs() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.syncs
 }
 
 // Create implements FS.
@@ -266,6 +287,13 @@ func (f *memFile) Write(p []byte) (int, error) {
 func (f *memFile) Sync() error {
 	f.fs.mu.Lock()
 	defer f.fs.mu.Unlock()
+	f.fs.syncs++
+	if f.fs.failSyncAt > 0 {
+		f.fs.failSyncAt--
+		if f.fs.failSyncAt == 0 {
+			return fmt.Errorf("memfs: injected sync failure on %s", f.name)
+		}
+	}
 	f.fs.files[f.name] = append(f.fs.files[f.name], f.fs.dirty[f.name]...)
 	f.fs.dirty[f.name] = nil
 	return nil

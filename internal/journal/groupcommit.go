@@ -5,13 +5,16 @@ import (
 	"time"
 )
 
-// GroupPolicy configures group commit: how long and how large a commit
-// group may grow before its single fsync. The zero value disables
-// batching entirely (Window == 0), preserving one-fsync-per-event
-// behavior.
+// GroupPolicy configures group commit: when a commit group closes for
+// its single fsync. Under the zero value a group is exactly what one
+// caller appended before saying it was done (CloseGroup): one fsync per
+// request per journal.
 type GroupPolicy struct {
-	// Window is the maximum time an appended event waits for its group
-	// to sync. 0 disables group commit: every append syncs inline.
+	// Window, when positive, is how long a group stays open after its
+	// first event so that concurrent callers can join its fsync; a lone
+	// caller waits it out. With 0 no timer runs: a group closes when a
+	// caller that has appended everything it will wait on calls
+	// CloseGroup.
 	Window time.Duration
 	// MaxEvents closes a group early once it holds this many events;
 	// 0 means DefaultMaxEvents.
@@ -30,9 +33,6 @@ const (
 	DefaultMaxBytes = 1 << 20
 )
 
-// Enabled reports whether the policy batches at all.
-func (p GroupPolicy) Enabled() bool { return p.Window > 0 }
-
 func (p GroupPolicy) withDefaults() GroupPolicy {
 	if p.MaxEvents <= 0 {
 		p.MaxEvents = DefaultMaxEvents
@@ -44,12 +44,12 @@ func (p GroupPolicy) withDefaults() GroupPolicy {
 }
 
 // Committer serializes all access to a Store and batches appends into
-// commit groups: concurrent AppendAsync calls accumulate in one group
-// that is flushed with a single fsync when the policy's window elapses
-// or a size cap fills, and every caller's channel resolves only once
-// the group holding its event is durable. With a disabled policy it
-// degrades to a plain pass-through (append + inline sync), so callers
-// need exactly one code path for both modes.
+// commit groups: AppendAsync calls accumulate in one group that is
+// flushed with a single fsync when a caller closes it (CloseGroup,
+// Expedite, Flush), the policy's window elapses or a size cap fills, and
+// every caller's channel resolves only once the group holding its event
+// is durable. An append that nobody closes waits for the window — or,
+// at Window 0, for the next caller that does close.
 //
 // The fsync runs on a background flusher goroutine outside the
 // committer lock, so appends of the NEXT group proceed while the
@@ -64,24 +64,19 @@ type Committer struct {
 	waiters []chan<- error // the open group, in append order
 	nev     int            // appended events in the open group (Flush joiners excluded)
 	bytes   int64          // WAL bytes spanned by the open group
-	due     bool           // window elapsed or size cap hit
+	due     bool           // closed by a caller, the window or a size cap
 	closed  bool
 	timer   *time.Timer
 	done    chan struct{} // flusher exit
 }
 
-// NewCommitter wraps a store in a group-commit layer. With a disabled
-// policy (Window == 0) no goroutine is started and appends sync
-// inline. Callers must route every append and checkpoint through the
-// committer once it exists — it owns the store.
+// NewCommitter wraps a store in a group-commit layer and starts its
+// flusher. Callers must route every append and checkpoint through the
+// committer once it exists — it owns the store — and Close it.
 func NewCommitter(st *Store, pol GroupPolicy) *Committer {
-	c := &Committer{st: st, pol: pol.withDefaults()}
-	if !pol.Enabled() {
-		return c
-	}
+	c := &Committer{st: st, pol: pol.withDefaults(), done: make(chan struct{})}
 	c.ready = sync.NewCond(&c.mu)
-	c.done = make(chan struct{})
-	c.timer = time.AfterFunc(time.Hour, c.windowUp)
+	c.timer = time.AfterFunc(time.Hour, c.Expedite)
 	c.timer.Stop()
 	go c.run()
 	return c
@@ -97,14 +92,6 @@ func (c *Committer) Policy() GroupPolicy { return c.pol }
 // error means the event was NOT appended.
 func (c *Committer) AppendAsync(ev Event) (int64, <-chan error, error) {
 	ch := make(chan error, 1)
-	if !c.pol.Enabled() {
-		seq, err := c.st.Append(ev)
-		if err != nil {
-			return 0, nil, err
-		}
-		ch <- nil
-		return seq, ch, nil
-	}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -116,8 +103,7 @@ func (c *Committer) AppendAsync(ev Event) (int64, <-chan error, error) {
 		c.mu.Unlock()
 		return 0, nil, err
 	}
-	if len(c.waiters) == 0 {
-		c.due = false
+	if len(c.waiters) == 0 && c.pol.Window > 0 {
 		c.timer.Reset(c.pol.Window)
 	}
 	c.waiters = append(c.waiters, ch)
@@ -131,11 +117,11 @@ func (c *Committer) AppendAsync(ev Event) (int64, <-chan error, error) {
 	return seq, ch, nil
 }
 
-// Append appends one event and blocks until it is durable — the
-// synchronous convenience over AppendAsync. The open group is
-// expedited rather than waiting out the window (a sequential caller
-// gains nothing from the delay), but the fsync is still shared with
-// every concurrent appender in the group.
+// Append appends one event and blocks until it is durable — append,
+// close, wait: the one-event case of the asynchronous path. The open
+// group is expedited rather than waiting out the window (a sequential
+// caller gains nothing from the delay), but the fsync is still shared
+// with every concurrent appender in the group.
 func (c *Committer) Append(ev Event) (int64, error) {
 	seq, wait, err := c.AppendAsync(ev)
 	if err != nil {
@@ -148,14 +134,20 @@ func (c *Committer) Append(ev Event) (int64, error) {
 	return seq, nil
 }
 
-// Expedite marks the open group due immediately, so its fsync starts
-// now instead of when the window elapses. Callers about to block on an
-// AppendAsync ack use it to trade batching for latency; it is a no-op
-// with batching disabled or no open group.
-func (c *Committer) Expedite() {
-	if !c.pol.Enabled() {
-		return
+// CloseGroup is the request boundary: the caller has appended every
+// event it is about to wait on. With no window that closes the open
+// group — its fsync starts now; with one, the group stays open until
+// the window elapses so concurrent requests can still join it.
+func (c *Committer) CloseGroup() {
+	if c.pol.Window == 0 {
+		c.Expedite()
 	}
+}
+
+// Expedite marks the open group due immediately, so its fsync starts
+// now whatever the window. Callers nobody can join — a barrier holder,
+// a sequential writer — use it; it is a no-op with no open group.
+func (c *Committer) Expedite() {
 	c.mu.Lock()
 	if len(c.waiters) > 0 {
 		c.due = true
@@ -167,9 +159,6 @@ func (c *Committer) Expedite() {
 // Flush commits everything appended so far and blocks until it is
 // durable — the barrier resolve, checkpoint, and shutdown use.
 func (c *Committer) Flush() error {
-	if !c.pol.Enabled() {
-		return c.st.Commit()
-	}
 	c.mu.Lock()
 	if c.st.err != nil {
 		err := c.st.err
@@ -193,9 +182,6 @@ func (c *Committer) Flush() error {
 // checkpoint may cover buffered events — the snapshot itself is their
 // durable copy, and their acks still wait for the group sync.
 func (c *Committer) WriteCheckpoint(cp *Checkpoint) error {
-	if !c.pol.Enabled() {
-		return c.st.WriteCheckpoint(cp)
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.st.WriteCheckpoint(cp)
@@ -205,29 +191,19 @@ func (c *Committer) WriteCheckpoint(cp *Checkpoint) error {
 // underlying store.
 func (c *Committer) Close() error {
 	ferr := c.Flush()
-	if c.pol.Enabled() {
-		c.mu.Lock()
-		if !c.closed {
-			c.closed = true
-			c.timer.Stop()
-			c.ready.Signal()
-		}
-		c.mu.Unlock()
-		<-c.done
+	c.mu.Lock()
+	if !c.closed {
+		c.closed = true
+		c.timer.Stop()
+		c.ready.Signal()
 	}
+	c.mu.Unlock()
+	<-c.done
 	cerr := c.st.Close()
 	if ferr != nil {
 		return ferr
 	}
 	return cerr
-}
-
-// windowUp marks the open group due when its window timer fires.
-func (c *Committer) windowUp() {
-	c.mu.Lock()
-	c.due = true
-	c.ready.Signal()
-	c.mu.Unlock()
 }
 
 // run is the flusher: it waits for a due group, takes it, syncs the

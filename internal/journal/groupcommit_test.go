@@ -12,9 +12,24 @@ import (
 	"acd/internal/obs"
 )
 
-// TestCommitterPassthrough: a disabled policy (Window == 0) degrades to
-// the plain one-fsync-per-event store, through the same API the batched
-// mode uses.
+// ackWithin reports an append's acknowledgment, or fails the test when
+// none arrives: a waiter nobody closed must show up as a failure, never
+// as a hung test.
+func ackWithin(t *testing.T, wait <-chan error, what string) error {
+	t.Helper()
+	select {
+	case err := <-wait:
+		return err
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s: never acknowledged", what)
+		return nil
+	}
+}
+
+// TestCommitterPassthrough: with no window (the zero policy) a group is
+// what its caller appended before closing it. Nothing is durable or
+// acknowledged before the close, everything is after it, and the whole
+// group cost one fsync — through the same API a window uses.
 func TestCommitterPassthrough(t *testing.T) {
 	fs := NewMemFS()
 	s, _, err := Open(fs)
@@ -22,37 +37,173 @@ func TestCommitterPassthrough(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewCommitter(s, GroupPolicy{})
-	seq, wait, err := c.AppendAsync(recordEv(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq != 1 {
-		t.Errorf("seq = %d", seq)
-	}
-	select {
-	case err := <-wait:
+	var waits []<-chan error
+	for i := 0; i < 3; i++ {
+		seq, wait, err := c.AppendAsync(recordEv(i))
 		if err != nil {
-			t.Errorf("passthrough ack: %v", err)
+			t.Fatal(err)
 		}
-	default:
-		t.Error("passthrough append not immediately durable")
+		if seq != int64(i)+1 {
+			t.Errorf("seq = %d", seq)
+		}
+		waits = append(waits, wait)
 	}
-	if seq, err = c.Append(recordEv(1)); err != nil || seq != 2 {
+	// No timer runs at Window 0: however long the caller dawdles, the
+	// open group is neither acknowledged nor on disk.
+	time.Sleep(20 * time.Millisecond)
+	for i, wait := range waits {
+		select {
+		case err := <-wait:
+			t.Fatalf("append %d acknowledged (%v) before its group was closed", i, err)
+		default:
+		}
+	}
+	if _, rec, err := Open(fs.CrashCopy()); err != nil || len(rec.Events) != 0 {
+		t.Fatalf("crash before the close recovered %d events (%v), want 0", len(rec.Events), err)
+	}
+	if got := s.DurableSeq(); got != 0 {
+		t.Errorf("DurableSeq = %d before the close", got)
+	}
+
+	before := fs.Syncs()
+	c.CloseGroup()
+	for i, wait := range waits {
+		if err := ackWithin(t, wait, fmt.Sprintf("append %d", i)); err != nil {
+			t.Fatalf("append %d: %v", i, err)
+		}
+	}
+	if got := fs.Syncs() - before; got != 1 {
+		t.Errorf("closing a 3-event group cost %d fsyncs, want 1", got)
+	}
+	if seq, err := c.Append(recordEv(3)); err != nil || seq != 4 {
 		t.Fatalf("Append = (%d, %v)", seq, err)
 	}
-	// Both events survive a crash right now: they synced inline.
+	// Every acknowledged event survives a crash right now.
 	_, rec, err := Open(fs.CrashCopy())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.Events) != 2 {
-		t.Errorf("crash copy recovered %d events, want 2", len(rec.Events))
+	if len(rec.Events) != 4 {
+		t.Errorf("crash copy recovered %d events, want 4", len(rec.Events))
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.AppendAsync(recordEv(2)); err == nil {
+	if _, _, err := c.AppendAsync(recordEv(4)); err == nil {
 		t.Error("append after close accepted")
+	}
+}
+
+// TestCloseGroupRespectsWindow: with a window, closing a request leaves
+// the group open for concurrent requests to join — the window's timer,
+// a size cap or Expedite closes it, as before.
+func TestCloseGroupRespectsWindow(t *testing.T) {
+	s, _, err := Open(NewMemFS())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCommitter(s, GroupPolicy{Window: time.Hour})
+	defer c.Close()
+	_, wait, err := c.AppendAsync(recordEv(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.CloseGroup()
+	time.Sleep(20 * time.Millisecond)
+	select {
+	case err := <-wait:
+		t.Fatalf("CloseGroup cut a one-hour window short (ack %v)", err)
+	default:
+	}
+	c.Expedite()
+	if err := ackWithin(t, wait, "expedited append"); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSizeCapClosesGroup: the size caps close a group on their own at
+// every window, so a request larger than a cap starts committing before
+// its caller is done appending instead of growing one unbounded group.
+func TestSizeCapClosesGroup(t *testing.T) {
+	rec := obs.New()
+	s, _, err := OpenOptions(NewMemFS(), Options{Obs: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCommitter(s, GroupPolicy{MaxEvents: 4})
+	appendN := func(from, n int) []<-chan error {
+		var waits []<-chan error
+		for i := from; i < from+n; i++ {
+			_, wait, err := c.AppendAsync(recordEv(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			waits = append(waits, wait)
+		}
+		return waits
+	}
+	for i, wait := range appendN(0, 4) { // fills the cap: nobody closes it
+		if err := ackWithin(t, wait, fmt.Sprintf("capped append %d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tail := appendN(4, 2)
+	c.CloseGroup()
+	for i, wait := range tail {
+		if err := ackWithin(t, wait, fmt.Sprintf("tail append %d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := rec.Counter(MetricGroupCommits); got != 2 {
+		t.Errorf("6 events under a 4-event cap made %d groups, want 2", got)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFailedSyncFailsWholeGroup: a failed fsync fails every
+// acknowledgment of its group, makes none of it durable, and poisons the
+// journal for whatever comes after.
+func TestFailedSyncFailsWholeGroup(t *testing.T) {
+	for _, window := range []time.Duration{0, time.Hour} {
+		fs := NewMemFS()
+		s, _, err := Open(fs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := NewCommitter(s, GroupPolicy{Window: window})
+		if _, err := c.Append(recordEv(0)); err != nil {
+			t.Fatal(err)
+		}
+		var waits []<-chan error
+		for i := 1; i < 4; i++ {
+			_, wait, err := c.AppendAsync(recordEv(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			waits = append(waits, wait)
+		}
+		fs.FailAfterSyncs(0)
+		c.Expedite()
+		for i, wait := range waits {
+			if err := ackWithin(t, wait, fmt.Sprintf("append %d", i+1)); err == nil {
+				t.Errorf("window %v: append %d acknowledged by a failed fsync", window, i+1)
+			}
+		}
+		if _, _, err := c.AppendAsync(recordEv(4)); err == nil {
+			t.Errorf("window %v: append after a failed commit accepted", window)
+		}
+		if err := c.Flush(); err == nil {
+			t.Errorf("window %v: Flush after a failed commit reported success", window)
+		}
+		if got := s.DurableSeq(); got != 1 {
+			t.Errorf("window %v: DurableSeq = %d, want 1", window, got)
+		}
+		if _, rec, err := Open(fs.CrashCopy()); err != nil || len(rec.Events) != 1 {
+			t.Errorf("window %v: crash recovered %d events (%v), want the 1 acknowledged", window, len(rec.Events), err)
+		}
+		c.Close()
 	}
 }
 

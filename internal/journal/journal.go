@@ -271,7 +271,9 @@ func (s *Store) DurableSeq() int64 { return s.durable.Load() }
 // Append assigns the event's sequence number, writes it to the current
 // segment and syncs it to stable storage before returning. On return
 // the event is durable. Equivalent to AppendBuffered followed by
-// Commit — one fsync per event.
+// Commit — one fsync per event. The serving stack appends through a
+// Committer; only tests and fixtures that build a journal by hand call
+// this.
 func (s *Store) Append(ev Event) (int64, error) {
 	seq, err := s.AppendBuffered(ev)
 	if err != nil {

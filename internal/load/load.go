@@ -78,6 +78,12 @@ type Config struct {
 	// ResolveEvery runs POST /resolve on a background cadence (0 =
 	// never) and reports it as its own endpoint.
 	ResolveEvery time.Duration
+	// ResolveEveryRecords also runs POST /resolve as soon as this many
+	// records were acked since the last one was sent (0 = cadence
+	// only). Writes wait out a resolve, so this bounds the backlog a
+	// pass faces by work — the count plus what is in flight — however
+	// fast the server ingests between two ticks.
+	ResolveEveryRecords int
 	// Pool is the record churn: consecutive records operations walk it
 	// round-robin. Required when Mix.Records > 0 (SyntheticPool builds
 	// one from internal/dataset).
@@ -235,6 +241,9 @@ type Generator struct {
 	maxInflight atomic.Int64
 	warmupOps   atomic.Int64
 
+	sinceResolve atomic.Int64  // records acked since the last resolve was sent
+	resolveDue   chan struct{} // ResolveEveryRecords reached; holds at most one kick
+
 	issuedRecords atomic.Int64
 	ackedRecords  atomic.Int64
 	issuedAnswers atomic.Int64
@@ -253,7 +262,7 @@ func New(cfg Config) (*Generator, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := &Generator{cfg: cfg, stats: map[string]*epStats{}, ackedIDs: map[int64]struct{}{}}
+	g := &Generator{cfg: cfg, stats: map[string]*epStats{}, ackedIDs: map[int64]struct{}{}, resolveDue: make(chan struct{}, 1)}
 	for _, ep := range []string{EndpointRecords, EndpointAnswers, EndpointClusters, EndpointMetrics, EndpointResolve} {
 		g.stats[ep] = &epStats{hist: histogram.NewLatency()}
 	}
@@ -306,7 +315,7 @@ func (g *Generator) Run(ctx context.Context) (*Report, error) {
 	defer stop()
 
 	var wg sync.WaitGroup
-	if g.cfg.ResolveEvery > 0 {
+	if g.cfg.ResolveEvery > 0 || g.cfg.ResolveEveryRecords > 0 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -394,22 +403,29 @@ func (g *Generator) Run(ctx context.Context) (*Report, error) {
 	return g.report(measured), nil
 }
 
-// resolveLoop POSTs /resolve on the configured cadence until ctx ends.
+// resolveLoop POSTs /resolve on the configured cadence, and whenever
+// ResolveEveryRecords records have been acked, until ctx ends.
 func (g *Generator) resolveLoop(ctx context.Context) {
-	tick := time.NewTicker(g.cfg.ResolveEvery)
-	defer tick.Stop()
+	var tick <-chan time.Time // never fires without a cadence
+	if g.cfg.ResolveEvery > 0 {
+		t := time.NewTicker(g.cfg.ResolveEvery)
+		defer t.Stop()
+		tick = t.C
+	}
 	for {
 		select {
 		case <-ctx.Done():
 			return
-		case <-tick.C:
-			t0 := time.Now()
-			err := g.post(ctx, "/resolve", nil, nil)
-			if ctx.Err() != nil && err != nil {
-				return // shutdown race, not a server error
-			}
-			g.record(EndpointResolve, time.Since(t0), err)
+		case <-tick:
+		case <-g.resolveDue:
 		}
+		g.sinceResolve.Store(0)
+		t0 := time.Now()
+		err := g.post(ctx, "/resolve", nil, nil)
+		if ctx.Err() != nil && err != nil {
+			return // shutdown race, not a server error
+		}
+		g.record(EndpointResolve, time.Since(t0), err)
 	}
 }
 
@@ -482,6 +498,15 @@ func (g *Generator) doRecords(ctx context.Context) error {
 	}
 	g.ackedRecords.Add(int64(len(resp.IDs)))
 	g.ackIDs(resp.IDs)
+	if n := int64(g.cfg.ResolveEveryRecords); n > 0 {
+		// The swap lets exactly one worker claim each n records.
+		if v := g.sinceResolve.Add(int64(len(resp.IDs))); v >= n && g.sinceResolve.CompareAndSwap(v, 0) {
+			select {
+			case g.resolveDue <- struct{}{}:
+			default: // a kick is already waiting for the loop
+			}
+		}
+	}
 	return nil
 }
 

@@ -2,6 +2,7 @@ package load
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -121,6 +122,57 @@ func TestOpenLoopConcurrencyCap(t *testing.T) {
 	}
 	if rep.Endpoints[EndpointMetrics].Ops == 0 {
 		t.Error("no measured metrics ops")
+	}
+}
+
+// TestResolveEveryRecords: with no cadence at all, resolves are sent by
+// work — never before the count of acked records is reached, and again
+// each time it is.
+func TestResolveEveryRecords(t *testing.T) {
+	const every = 24
+	var records, resolves, early atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		switch r.URL.Path {
+		case "/records":
+			n := records.Add(8)
+			fmt.Fprintf(w, `{"ids":[%d,%d,%d,%d,%d,%d,%d,%d]}`, n-8, n-7, n-6, n-5, n-4, n-3, n-2, n-1)
+		case "/resolve":
+			if records.Load() < every*(resolves.Add(1)) {
+				early.Add(1)
+			}
+			w.Write([]byte("{}")) //nolint:errcheck — test handler
+		}
+	}))
+	defer srv.Close()
+	pool, err := SyntheticPool(dataset.SyntheticConfig{Entities: 5, Records: 20, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := New(Config{
+		Target:              srv.URL,
+		Pool:                pool,
+		Mix:                 Mix{Records: 1},
+		Concurrency:         1,
+		Duration:            150 * time.Millisecond,
+		ResolveEveryRecords: every,
+		Seed:                5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := g.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.TotalErrors() != 0 {
+		t.Fatalf("measured %d errors: %+v", rep.TotalErrors(), rep.Endpoints)
+	}
+	if rep.Endpoints[EndpointResolve].Ops < 2 {
+		t.Errorf("%d resolves over %d acked records with one due every %d", rep.Endpoints[EndpointResolve].Ops, rep.Counters.AckedRecords, every)
+	}
+	if n := early.Load(); n > 0 {
+		t.Errorf("%d of %d resolves arrived before %d more records were acked", n, resolves.Load(), every)
 	}
 }
 

@@ -1,8 +1,6 @@
 package scenarios
 
 import (
-	"time"
-
 	"acd/internal/load"
 	"acd/internal/market"
 )
@@ -48,15 +46,5 @@ func runBackendOutage(o Options) (*load.Report, error) {
 	if o.Smoke {
 		spec = "fast:1:20:0.12:drop=0.98:timeout=250us;careful:6:10:0.02;machine:0:0:0.35:machine"
 	}
-	// Even with a tight timeout, every dropped question still pays real
-	// retry sleeps, so resolves run long — the window stretches (as the
-	// degraded-crowd scenario's does) and the resolve cadence tightens so
-	// each pass's question backlog stays small enough to finish inside it.
-	return runWorkload(o, "backend-outage", spec, nil, func(c *load.Config) {
-		resolveHeavy(o, c)
-		if o.Smoke {
-			c.ResolveEvery = 100 * time.Millisecond
-			c.Duration = 2500 * time.Millisecond
-		}
-	})
+	return runWorkload(o, "backend-outage", spec, nil, func(c *load.Config) { resolveHeavy(o, c) })
 }

@@ -43,10 +43,10 @@ type Options struct {
 	// Seed drives the server permutations and the workload sequence
 	// (default 1).
 	Seed int64
-	// CommitWindow enables journal group commit on the scenario
-	// servers: appends within the window share one fsync and acks are
-	// pipelined. 0 keeps one fsync per event. The
-	// crash-restart-groupcommit scenario forces it on.
+	// CommitWindow holds the scenario servers' journal commit groups
+	// open this long, so concurrent requests share one fsync; 0 is one
+	// commit per request per journal. The crash-restart-groupcommit
+	// scenario forces it on.
 	CommitWindow time.Duration
 	// RotateBytes rotates scenario-server WAL segments past this size
 	// (0 = no rotation).
@@ -279,7 +279,11 @@ func runWorkload(o Options, name, fleet string, spikes []market.Spike, shape fun
 // pair). Resolve cost is close to (pending pairs × per-query crowd
 // latency) — every churned duplicate densifies the candidate graph — so
 // the mix is ingest-light and resolves run frequently to keep each
-// pass's pair backlog small.
+// pass's pair backlog small. A smoke run is too short to leave that to
+// the cadence: an empty server swallows the whole pool before the first
+// tick, and that one pass at a faulty crowd's pace outlasts the window.
+// There a pass is also due every 64 acked records, so its backlog is
+// bounded by work whatever the server's ingest speed.
 func resolveHeavy(o Options, c *load.Config) {
 	c.Mix = load.Mix{Records: 10, Answers: 5, Clusters: 60, Metrics: 25}
 	c.Concurrency = 8
@@ -287,6 +291,7 @@ func resolveHeavy(o Options, c *load.Config) {
 	if o.Smoke {
 		c.Concurrency = 4
 		c.ResolveEvery = 150 * time.Millisecond
+		c.ResolveEveryRecords = 64
 	}
 }
 
@@ -348,15 +353,5 @@ func runDegradedCrowd(o Options) (*load.Report, error) {
 	if o.Smoke {
 		fleet = "sim:2:20:0:lat=20us:spike=0.05:drop=0.05:fault=0.05:timeout=1ms"
 	}
-	return runWorkload(o, "degraded-crowd", fleet, nil, func(c *load.Config) {
-		resolveHeavy(o, c)
-		if o.Smoke {
-			// The first pass faces everything ingested before it, and
-			// an empty server ingests a 300-record pool's worth in about
-			// 100 ms: the cadence tightens so that backlog, at the faulty
-			// crowd's pace, still finishes inside the stretched window.
-			c.ResolveEvery = 50 * time.Millisecond
-			c.Duration = 1200 * time.Millisecond
-		}
-	})
+	return runWorkload(o, "degraded-crowd", fleet, nil, func(c *load.Config) { resolveHeavy(o, c) })
 }

@@ -2,10 +2,7 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -158,13 +155,10 @@ func (s *Server) handleReplicaPromote(w http.ResponseWriter, r *http.Request) {
 	var body struct {
 		SourceJournal string `json:"source_journal"`
 	}
-	if r.Body != nil {
-		// An empty body means "promote from my own mirror"; only a
-		// present-but-malformed one is an error.
-		if err := json.NewDecoder(r.Body).Decode(&body); err != nil && !errors.Is(err, io.EOF) {
-			writeError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
-			return
-		}
+	// An empty body means "promote from my own mirror"; only a
+	// present-but-malformed one is an error.
+	if r.Body != nil && !decodeBody(w, r, &body, true) {
+		return
 	}
 	s.mu.Lock()
 	f := s.follower

@@ -18,6 +18,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -54,15 +55,16 @@ type Config struct {
 	// CheckpointEvery is the journal-event cadence of automatic
 	// compacted checkpoints (0 disables).
 	CheckpointEvery int
-	// CommitWindow enables journal group commit: concurrent appends
-	// within the window share a single fsync and acks are pipelined.
-	// 0 keeps one fsync per event (the historical behavior).
+	// CommitWindow is the journal group-commit window. 0 is one commit
+	// per request per journal; D > 0 additionally holds a commit group
+	// open up to D so concurrent requests share its single fsync (a
+	// lone request waits it out). Acks are pipelined either way.
 	CommitWindow time.Duration
 	// CommitEvents closes a commit group early at this many events
-	// (0 = journal.DefaultMaxEvents). Ignored when CommitWindow is 0.
+	// (0 = journal.DefaultMaxEvents).
 	CommitEvents int
 	// CommitBytes closes a commit group early at this many WAL bytes
-	// (0 = journal.DefaultMaxBytes). Ignored when CommitWindow is 0.
+	// (0 = journal.DefaultMaxBytes).
 	CommitBytes int64
 	// RotateBytes rotates each live WAL segment past this size;
 	// 0 disables rotation.
@@ -348,8 +350,7 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 	var body struct {
 		Records []recordPayload `json:"records"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		writeError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+	if !decodeBody(w, r, &body, false) {
 		return
 	}
 	if len(body.Records) == 0 {
@@ -384,34 +385,33 @@ func (s *Server) handleAnswers(w http.ResponseWriter, r *http.Request) {
 	var body struct {
 		Answers []answerPayload `json:"answers"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		writeError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+	if !decodeBody(w, r, &body, false) {
 		return
 	}
 	g, ok := s.writable(w)
 	if !ok {
 		return
 	}
-	// Validate the whole batch up front: a 400 means nothing was
-	// applied. Records are never removed, so a validated answer cannot
-	// become invalid before it is applied below.
+	batch := make([]shard.Answer, len(body.Answers))
 	for i, a := range body.Answers {
-		if err := g.ValidateAnswer(a.Lo, a.Hi, a.FC); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("answer %d: %v", i, err))
-			return
-		}
+		batch[i] = shard.Answer{Lo: a.Lo, Hi: a.Hi, FC: a.FC, Source: a.Source}
 	}
-	accepted := 0
-	for i, a := range body.Answers {
-		if err := g.AddAnswer(a.Lo, a.Hi, a.FC, a.Source); err != nil {
-			// Validation passed, so this is a journal failure; the first
-			// `accepted` answers are already durable.
-			writeJSON(w, http.StatusInternalServerError, map[string]any{
-				"error": fmt.Sprintf("answer %d: %v", i, err), "committed": accepted,
-			})
-			return
-		}
-		accepted++
+	// The request is the commit unit: the group validates the whole
+	// batch before applying any of it (a 400 means nothing was applied)
+	// and commits each journal the batch touches once.
+	accepted, err := g.AddAnswers(batch)
+	var invalid shard.InvalidAnswerError
+	if errors.As(err, &invalid) {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	if err != nil {
+		// Validation passed, so this is a journal failure; `accepted`
+		// answers are durable all the same.
+		writeJSON(w, http.StatusInternalServerError, map[string]any{
+			"error": err.Error(), "committed": accepted,
+		})
+		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"accepted": accepted, "known": g.Snapshot().Answers})
 }
@@ -473,6 +473,29 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(LagHeader, strconv.FormatInt(f.Lag(), 10))
 	}
 	s.rec.ServeHTTP(w, r)
+}
+
+// MaxBodyBytes bounds a POST body. A request is the journal's commit
+// unit, so its size is bounded at the edge; a larger batch is the
+// client's to split.
+const MaxBodyBytes = 8 << 20
+
+// decodeBody decodes a POST body of at most MaxBodyBytes into v and
+// reports whether it did; if not it has answered the request — 413 for
+// an oversized body, 400 for malformed JSON. emptyOK accepts no body at
+// all, leaving v untouched.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any, emptyOK bool) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes)).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil, emptyOK && errors.Is(err, io.EOF):
+		return true
+	case errors.As(err, &tooBig):
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes: split the batch", MaxBodyBytes))
+	default:
+		writeError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+	}
+	return false
 }
 
 // writeJSON writes v as the JSON response body with the given status.

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"acd/internal/crowd"
+	"acd/internal/journal"
 	"acd/internal/market"
 	"acd/internal/obs"
 	"acd/internal/record"
@@ -149,6 +150,68 @@ func TestOpenRecoversJournal(t *testing.T) {
 	// The journal pins 2 shards; 3 must be refused.
 	if _, err := Open(Config{Journal: dir, Shards: 3, Seed: 3}); err == nil || !strings.Contains(err.Error(), "re-sharding") {
 		t.Fatalf("re-shard error = %v, want re-sharding refusal", err)
+	}
+}
+
+// TestRequestIsCommitUnit: a request body is bounded at the edge (413,
+// nothing applied), and a legal batch far over the journal's per-group
+// event cap is still one acknowledgment: every answer durable when the
+// 200 arrives, over at most one fsync per cap's worth of events. (That
+// the cap closes a group on its own, before the request does, is pinned
+// where it is deterministic: journal's TestSizeCapClosesGroup.)
+func TestRequestIsCommitUnit(t *testing.T) {
+	dir := t.TempDir()
+	rec := obs.New()
+	l, err := StartLocal(Config{Journal: dir, Seed: 3, Obs: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	huge := `{"records":[{"fields":{"text":"` + strings.Repeat("x ", MaxBodyBytes/2) + `"}}]}`
+	for _, path := range []string{"/records", "/answers"} {
+		code, m := call(t, http.MethodPost, l.URL+path, huge)
+		if msg, _ := m["error"].(string); code != http.StatusRequestEntityTooLarge || !strings.Contains(msg, "split the batch") {
+			t.Errorf("POST %s of %d bytes = %d %v, want 413 telling the client to split", path, len(huge), code, m)
+		}
+	}
+	if n := l.Server.Snapshot().Records; n != 0 {
+		t.Fatalf("refused bodies left %d records behind", n)
+	}
+
+	const records, answers = 50, 1000 // 1225 pairs to choose from
+	texts := make([]string, records)
+	for i := range texts {
+		texts[i] = fmt.Sprintf("name%d street%d", i, i)
+	}
+	if code, m := call(t, http.MethodPost, l.URL+"/records", recordsBody(texts...)); code != http.StatusOK {
+		t.Fatalf("POST /records: %d %v", code, m)
+	}
+	var batch []string
+	for lo := 0; lo < records; lo++ {
+		for hi := lo + 1; hi < records && len(batch) < answers; hi++ {
+			batch = append(batch, fmt.Sprintf(`{"lo":%d,"hi":%d,"fc":1}`, lo, hi))
+		}
+	}
+	groups, events := rec.Counter(journal.MetricGroupCommits), rec.Counter(journal.MetricGroupedEvents)
+	code, m := call(t, http.MethodPost, l.URL+"/answers", `{"answers":[`+strings.Join(batch, ",")+`]}`)
+	if code != http.StatusOK || m["accepted"].(float64) != answers {
+		t.Fatalf("POST /answers of %d: %d %v", answers, code, m)
+	}
+	groups, events = rec.Counter(journal.MetricGroupCommits)-groups, rec.Counter(journal.MetricGroupedEvents)-events
+	maxGroups := int64((answers + journal.DefaultMaxEvents - 1) / journal.DefaultMaxEvents)
+	if events != answers || groups < 1 || groups > maxGroups {
+		t.Errorf("%d answers committed as %d events in %d groups, want %d events in 1..%d groups", answers, events, groups, answers, maxGroups)
+	}
+	// Lose the machine right after the 200: the whole request survives.
+	if err := l.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := StartLocal(Config{Journal: dir, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if snap := re.Server.Snapshot(); snap.Records != records || snap.Answers != answers {
+		t.Errorf("recovered %d records and %d answers, want %d and %d", snap.Records, snap.Answers, records, answers)
 	}
 }
 

@@ -113,14 +113,7 @@ func BenchmarkGroupMixed(b *testing.B) {
 // records divided by that over the first tenth, the ratio the
 // repository benchmark's ladder prints as shard.add_growth.
 func BenchmarkGroupAdd(b *testing.B) {
-	d, err := dataset.Synthetic(dataset.SyntheticConfig{Records: 4000, Entities: 400, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	recs := make([]incremental.Record, len(d.Records))
-	for i, r := range d.Records {
-		recs[i] = incremental.Record{Fields: r.Fields}
-	}
+	recs := benchRecords(b, 4000)
 	for _, shape := range []struct {
 		name   string
 		shards int
@@ -160,4 +153,120 @@ func BenchmarkGroupAdd(b *testing.B) {
 			b.ReportMetric(float64(last)/float64(first), "growth")
 		})
 	}
+}
+
+// syncsOf sums the file fsyncs a MemTree's journals have issued.
+func syncsOf(tree *journal.MemTree, shards int) int {
+	total := 0
+	for _, n := range fsyncs(tree, shards) {
+		total += n
+	}
+	return total
+}
+
+// benchRecords returns n dataset.Synthetic records, ten to an entity.
+func benchRecords(b *testing.B, n int) []incremental.Record {
+	b.Helper()
+	d, err := dataset.Synthetic(dataset.SyntheticConfig{Records: n, Entities: n / 10, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	recs := make([]incremental.Record, len(d.Records))
+	for i, r := range d.Records {
+		recs[i] = incremental.Record{Fields: r.Fields}
+	}
+	return recs
+}
+
+// BenchmarkGroupAddAnswers isolates the answer path over a no-op disk:
+// one iteration posts 4 000 fresh answers over 200 resident records, 4
+// per AddAnswers call as the repository benchmark's clients post them.
+// At 2 shards a call's answers are homed in up to three journals (both
+// shards' and the router's). Besides ns/op it reports ns/answer and
+// fsyncs/answer — the commit count, from the MemTree's fsync counters,
+// which is one per journal a call touches.
+func BenchmarkGroupAddAnswers(b *testing.B) {
+	recs := benchRecords(b, 200)
+	var pairs []Answer
+	for lo := 0; lo < len(recs) && len(pairs) < 4000; lo++ {
+		for hi := lo + 1; hi < len(recs) && len(pairs) < 4000; hi++ {
+			pairs = append(pairs, Answer{Lo: lo, Hi: hi, FC: float64((lo + hi) % 2), Source: "bench"})
+		}
+	}
+	for _, shape := range []struct {
+		name   string
+		shards int
+	}{{"1shard", 1}, {"2shards", 2}} {
+		b.Run(shape.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var total time.Duration
+			fsyncs := 0
+			for i := 0; i < b.N; i++ {
+				tree := journal.NewMemTree()
+				g, err := Open(Config{Shards: shape.shards, Engine: incremental.Config{Seed: 1}}, tree)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := g.Add(recs...); err != nil {
+					b.Fatal(err)
+				}
+				before, start := syncsOf(tree, shape.shards), time.Now()
+				for k := 0; k < len(pairs); k += 4 {
+					if n, err := g.AddAnswers(pairs[k : k+4]); err != nil || n != 4 {
+						b.Fatalf("AddAnswers = (%d, %v)", n, err)
+					}
+				}
+				total += time.Since(start)
+				fsyncs += syncsOf(tree, shape.shards) - before
+				benchSink.Store(int64(g.Snapshot().Answers))
+				if err := g.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(total.Nanoseconds())/float64(b.N*len(pairs)), "ns/answer")
+			b.ReportMetric(float64(fsyncs)/float64(b.N*len(pairs)), "fsyncs/answer")
+		})
+	}
+}
+
+// BenchmarkGroupResolveSink isolates the resolve sink over a no-op
+// disk: one iteration is one resolve over 400 fresh records on a 1-shard
+// group, whose machine-answered crowd session buys about 500 answers
+// that the sink journals iteration by iteration. Besides ns/op it
+// reports answers (bought per resolve), ns/answer over the whole resolve
+// and fsyncs/iteration — one commit per crowd iteration, plus the
+// resolve event's own spread over them.
+func BenchmarkGroupResolveSink(b *testing.B) {
+	recs := benchRecords(b, 400)
+	b.ReportAllocs()
+	var total time.Duration
+	answers, iterations, fsyncs := 0, 0, 0
+	for i := 0; i < b.N; i++ {
+		tree := journal.NewMemTree()
+		g, err := Open(Config{Shards: 1, Engine: incremental.Config{Seed: 1}}, tree)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := g.Add(recs...); err != nil {
+			b.Fatal(err)
+		}
+		before, start := syncsOf(tree, 1), time.Now()
+		stats, err := g.Resolve(context.Background())
+		if err != nil {
+			b.Fatal(err)
+		}
+		total += time.Since(start)
+		fsyncs += syncsOf(tree, 1) - before
+		answers += stats.QuestionsAsked
+		iterations += stats.Iterations
+		if err := g.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if answers == 0 || iterations == 0 {
+		b.Fatal("the resolve bought no answers: nothing reached the sink")
+	}
+	b.ReportMetric(float64(answers)/float64(b.N), "answers")
+	b.ReportMetric(float64(total.Nanoseconds())/float64(answers), "ns/answer")
+	b.ReportMetric(float64(fsyncs)/float64(iterations), "fsyncs/iteration")
 }

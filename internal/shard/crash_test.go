@@ -270,6 +270,136 @@ func TestShardCrashSweepRecordSuffix(t *testing.T) {
 	}
 }
 
+// TestShardCrashSweepBatchedRequests is the sweep over a history of
+// batched requests, each committed once per journal it touches: records
+// in two Adds, then answers in AddAnswers batches of four that mix shard
+// and router homes. One journal at a time is cut at every byte while the
+// others stay whole — over its answer suffix, whose events no other
+// journal depends on, and with one shard (one journal, one total order)
+// over the records too. At every cut recovery must succeed, restore
+// exactly the events the cut preserves (a prefix of that journal's event
+// stream, indistinguishable from losing whole trailing events), and
+// hold every request that had been acknowledged by the time that many
+// bytes were durable, whole.
+func TestShardCrashSweepBatchedRequests(t *testing.T) {
+	recs := crashRecords()
+	for _, shards := range []int{1, 3} {
+		cfg := crashCfg()
+		cfg.Shards = shards
+		dirs := journalDirs(shards)
+		if shards == 1 {
+			dirs = dirs[1:] // a 1-shard layout keeps no router journal
+		}
+		tree := journal.NewMemTree()
+		g, err := Open(cfg, tree)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		// acked is what one acknowledgment promised: the state its
+		// caller could see, and how many bytes of each journal were
+		// durable by then.
+		type acked struct {
+			records, answers int
+			synced           map[string]int
+		}
+		var history []acked
+		ack := func() {
+			snap := g.Snapshot()
+			a := acked{records: snap.Records, answers: snap.Answers, synced: make(map[string]int)}
+			for _, d := range dirs {
+				_, b := walImage(t, tree.Dir(d))
+				a.synced[d] = len(b)
+			}
+			history = append(history, a)
+		}
+		for _, batch := range [][]incremental.Record{recs[:12], recs[12:]} {
+			if _, err := g.Add(batch...); err != nil {
+				t.Fatal(err)
+			}
+			ack()
+		}
+		recordsEnd := history[len(history)-1].synced
+		same, cross := answerHomes(g, len(recs))
+		var pool []Answer // round-robin over the homes, so batches mix them
+		for i := 0; i < 6; i++ {
+			for _, d := range dirs {
+				if as := same[d]; i < len(as) {
+					pool = append(pool, as[i])
+				}
+			}
+			if i < len(cross) {
+				pool = append(pool, cross[i])
+			}
+		}
+		if shards > 1 && len(cross) == 0 {
+			t.Fatal("fixture too weak: no cross-shard pair")
+		}
+		for ; len(pool) >= 4; pool = pool[4:] {
+			if n, err := g.AddAnswers(pool[:4]); err != nil || n != 4 {
+				t.Fatalf("AddAnswers = (%d, %v)", n, err)
+			}
+			ack()
+		}
+		final := history[len(history)-1]
+		if err := g.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		for _, dir := range dirs {
+			seg, full := walImage(t, tree.Dir(dir))
+			lines := walLines(t, full)
+			from := recordsEnd[dir]
+			if shards == 1 {
+				from = 0
+			}
+			if from == len(full) {
+				t.Fatalf("fixture too weak: no answer reached %s", dir)
+			}
+			open := func(image []byte) *Snapshot {
+				crash := tree.CrashCopy()
+				crash.Dir(dir).Put(seg, image)
+				g, err := Open(cfg, crash)
+				if err != nil {
+					t.Fatalf("%d shards, %s cut to %d bytes: recovery failed: %v", shards, dir, len(image), err)
+				}
+				defer g.Close()
+				return g.Snapshot()
+			}
+			for cut := from; cut <= len(full); cut++ {
+				k := completeEvents(full[:cut])
+				lostRecords, lostAnswers := 0, 0
+				for _, l := range lines[k:] {
+					switch l.ev.Type {
+					case journal.EventRecordAdded:
+						lostRecords++
+					case journal.EventAnswer:
+						lostAnswers++
+					}
+				}
+				got := open(full[:cut])
+				if got.Records != final.records-lostRecords || got.Answers != final.answers-lostAnswers {
+					t.Fatalf("%d shards, %s cut %d: recovered %d records and %d answers, the cut preserves %d and %d",
+						shards, dir, cut, got.Records, got.Answers, final.records-lostRecords, final.answers-lostAnswers)
+				}
+				var aligned []byte
+				if k > 0 {
+					aligned = full[:lines[k-1].end]
+				}
+				if got, want := mustJSON(t, got), mustJSON(t, open(aligned)); got != want {
+					t.Fatalf("%d shards, %s cut %d: byte-cut recovery differs from event-aligned replay:\n got %s\nwant %s", shards, dir, cut, got, want)
+				}
+				for i, a := range history {
+					if a.synced[dir] <= cut && (got.Records < a.records || got.Answers < a.answers) {
+						t.Fatalf("%d shards, %s cut %d: request %d was acknowledged with %d bytes durable (%d records, %d answers); recovery holds %d and %d",
+							shards, dir, cut, i, a.synced[dir], a.records, a.answers, got.Records, got.Answers)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestShardCrashSweepResolveFanOut crashes the resolve fan-out at every
 // byte: the router has committed the global resolve, shards below s
 // have their restriction, shard s's append is torn at byte `cut`, and

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -50,14 +51,18 @@ func goldenWALConfigs() []Config {
 // returns every distinct content each file in the tree went through,
 // observed after each step (so bytes a later checkpoint compacts away
 // are pinned too). Every step is one event at a time, so the bytes do
-// not depend on how a commit window groups them.
+// not depend on how a commit window groups them. Beside the files it
+// reports, per journal directory under "<dir>/events", the hash of every
+// byte written to that journal's WAL in write order — the event stream
+// in seq order, whatever segments it was cut into.
 func goldenWALHistory(t *testing.T, cfg Config) map[string][]string {
 	t.Helper()
-	tree := journal.NewMemTree()
+	mem := journal.NewMemTree()
+	tree := &walTeeTree{MemTree: mem, streams: make(map[string]*bytes.Buffer)}
 	seen := make(map[string][]string)
 	observe := func() {
 		t.Helper()
-		for f, h := range hashTree(t, tree, cfg.Shards) {
+		for f, h := range hashTree(t, mem, cfg.Shards) {
 			if v := seen[f]; len(v) == 0 || v[len(v)-1] != h {
 				seen[f] = append(v, h)
 			}
@@ -141,6 +146,13 @@ func goldenWALHistory(t *testing.T, cfg Config) map[string][]string {
 	must(g.Close())
 	observe()
 	goldenWALCoverage(t, seen, cfg.Shards)
+	for d, stream := range tree.streams {
+		if stream.Len() == 0 {
+			continue // a 1-shard layout opens the router directory and writes nothing
+		}
+		sum := sha256.Sum256(stream.Bytes())
+		seen[path.Join(d, "events")] = []string{hex.EncodeToString(sum[:])}
+	}
 
 	want := []string{"shard/", "shard/client"}
 	if cfg.Shards > 1 {
@@ -152,6 +164,45 @@ func goldenWALHistory(t *testing.T, cfg Config) map[string][]string {
 		}
 	}
 	return seen
+}
+
+// walTeeTree is a MemTree that also keeps, per journal directory, every
+// byte written to a WAL segment in write order. Writes happen under the
+// journal's own serialization, so the copy needs no lock.
+type walTeeTree struct {
+	*journal.MemTree
+	streams map[string]*bytes.Buffer
+}
+
+func (t *walTeeTree) Sub(name string) (journal.FS, error) {
+	if t.streams[name] == nil {
+		t.streams[name] = new(bytes.Buffer)
+	}
+	return walTeeFS{MemFS: t.MemTree.Dir(name), stream: t.streams[name]}, nil
+}
+
+type walTeeFS struct {
+	*journal.MemFS
+	stream *bytes.Buffer
+}
+
+func (f walTeeFS) Create(name string) (journal.File, error) {
+	file, err := f.MemFS.Create(name)
+	if err != nil || !strings.HasPrefix(name, "wal-") {
+		return file, err
+	}
+	return walTeeFile{File: file, stream: f.stream}, nil
+}
+
+type walTeeFile struct {
+	journal.File
+	stream *bytes.Buffer
+}
+
+func (f walTeeFile) Write(p []byte) (int, error) {
+	n, err := f.File.Write(p)
+	f.stream.Write(p[:n])
+	return n, err
 }
 
 // journalDirs lists a layout's journal directories: the router's, then

@@ -246,10 +246,11 @@ func ownerOf(token string, n int) int {
 }
 
 // Add routes each record to its home shard, assigns dense global ids,
-// and acknowledges after the home shard's journal fsync. Records bound
-// for different shards are appended (and fsynced) in parallel. It
-// returns the assigned global ids; on error, ids holds the prefix that
-// was durably committed.
+// and acknowledges after one commit per touched shard journal: a shard's
+// group closes behind its last record of the call. Records bound for
+// different shards are appended (and fsynced) in parallel. It returns
+// the assigned global ids; on error, ids holds the prefix that was
+// durably committed.
 func (g *Group) Add(recs ...incremental.Record) ([]int, error) {
 	type ack struct {
 		gid  int
@@ -262,10 +263,12 @@ func (g *Group) Add(recs ...incremental.Record) ([]int, error) {
 		g.mu.Unlock()
 		return nil, err
 	}
+	touched := make([]bool, len(g.shards))
 	for _, r := range recs {
 		r := r
 		text := record.New(0, r.Fields).Text()
 		sid := g.homeShard(text)
+		touched[sid] = true
 		r.GID = g.st.reserveGID(sid)
 		if g.probe != nil {
 			// The probe index is fed in gid order inside the serial
@@ -294,6 +297,7 @@ func (g *Group) Add(recs ...incremental.Record) ([]int, error) {
 			s.ack.push(func() { done <- g.acked(s, ev, wait, err, st) })
 		})
 	}
+	g.closeGroupsLocked(touched)
 	g.mu.Unlock()
 
 	ids := make([]int, 0, len(acks))
@@ -310,6 +314,17 @@ func (g *Group) Add(recs ...incremental.Record) ([]int, error) {
 		ids = append(ids, a.gid)
 	}
 	return ids, nil
+}
+
+// closeGroupsLocked ends a request's appends: queued behind the ops the
+// request pushed, each touched shard's open commit group closes, so the
+// request's events on that journal share one fsync.
+func (g *Group) closeGroupsLocked(touched []bool) {
+	for sid, s := range g.shards {
+		if touched[sid] {
+			s.q.push(s.log.CloseGroup)
+		}
+	}
 }
 
 // acked finishes a queued shard mutation on the shard's ack queue: it
@@ -361,6 +376,20 @@ func (g *Group) handoffWentLiveLocked(gid int) {
 	delete(g.awaited, gid)
 }
 
+// Answer is one crowd answer for AddAnswers, keyed by global ids.
+type Answer struct {
+	Lo, Hi int
+	FC     float64
+	Source string
+}
+
+// InvalidAnswerError is the error of an answer that fails validation. A
+// call that returns one has applied nothing.
+type InvalidAnswerError string
+
+// Error implements error.
+func (e InvalidAnswerError) Error() string { return string(e) }
+
 // ValidateAnswer checks whether (lo,hi,fc) — in global ids — is an
 // answer AddAnswer would accept, without changing any state.
 func (g *Group) ValidateAnswer(lo, hi int, fc float64) error {
@@ -371,66 +400,118 @@ func (g *Group) ValidateAnswer(lo, hi int, fc float64) error {
 
 func (g *Group) validateAnswerLocked(lo, hi int, fc float64) error {
 	if lo < 0 || lo >= hi || hi >= g.st.nextGID {
-		return fmt.Errorf("shard: answer pair (%d,%d) outside the record universe [0,%d)", lo, hi, g.st.nextGID)
+		return InvalidAnswerError(fmt.Sprintf("shard: answer pair (%d,%d) outside the record universe [0,%d)", lo, hi, g.st.nextGID))
 	}
 	if !g.st.live(lo) || !g.st.live(hi) {
-		return fmt.Errorf("shard: answer pair (%d,%d) references an unknown record", lo, hi)
+		return InvalidAnswerError(fmt.Sprintf("shard: answer pair (%d,%d) references an unknown record", lo, hi))
 	}
 	if fc < 0 || fc > 1 || fc != fc {
-		return fmt.Errorf("shard: answer fc %v outside [0,1]", fc)
+		return InvalidAnswerError(fmt.Sprintf("shard: answer fc %v outside [0,1]", fc))
 	}
 	return nil
 }
 
-// AddAnswer feeds an externally-obtained crowd answer, keyed by global
-// ids, into the cache of the pair's home shard — or into the router's
-// cross-shard cache when the records live on different shards. First
-// answer wins; re-adding a known pair is a silent no-op.
+// AddAnswer is AddAnswers for one answer.
 func (g *Group) AddAnswer(lo, hi int, fc float64, source string) error {
+	_, err := g.AddAnswers([]Answer{{Lo: lo, Hi: hi, FC: fc, Source: source}})
+	return err
+}
+
+// AddAnswers feeds a batch of externally-obtained crowd answers, keyed
+// by global ids, each into the cache of its pair's home shard — or into
+// the router's cross-shard cache when the records live on different
+// shards. First answer wins; re-adding a known pair is a silent no-op.
+// The whole batch is validated and routed under one hold of the router
+// lock and commits once per touched journal. An invalid answer fails
+// the call with an InvalidAnswerError before anything is applied; after
+// a journal failure the count says how many answers are durable. Either
+// error names the first answer it is about.
+func (g *Group) AddAnswers(batch []Answer) (committed int, err error) {
 	g.mu.Lock()
 	if err := g.awaitIntakeLocked(); err != nil {
 		g.mu.Unlock()
-		return err
+		return 0, err
 	}
-	if err := g.validateAnswerLocked(lo, hi, fc); err != nil {
-		g.mu.Unlock()
-		return err
-	}
-	p := record.MakePair(record.ID(lo), record.ID(hi))
-	sid, lp, same := g.st.sameShard(p)
-	if !same {
-		defer g.mu.Unlock()
-		return g.crossAnswerLocked(p, fc, source)
-	}
-	s := g.shards[sid]
-	done := make(chan error, 1)
-	// Same two-phase shape as Add: append + apply on the queue
-	// goroutine, acknowledgment after the commit group syncs.
-	s.q.push(func() {
-		ev := incremental.AnswerEvent(lp, fc, source)
-		wait, err := durable, error(nil)
-		if _, known := s.eng.Answer(int(lp.Lo), int(lp.Hi)); !known {
-			wait, err = s.commit(ev)
+	for i, a := range batch {
+		if err := g.validateAnswerLocked(a.Lo, a.Hi, a.FC); err != nil {
+			g.mu.Unlock()
+			return 0, fmt.Errorf("answer %d: %w", i, err)
 		}
-		st := statsOf(s.eng)
-		s.ack.push(func() { done <- g.acked(s, ev, wait, err, st) })
-	})
+	}
+	acks := make([]chan error, len(batch)) // nil for a cross-shard answer
+	var cross []journal.Event
+	touched := make([]bool, len(g.shards))
+	for i, a := range batch {
+		p := record.MakePair(record.ID(a.Lo), record.ID(a.Hi))
+		sid, lp, same := g.st.sameShard(p)
+		if !same {
+			cross = append(cross, incremental.AnswerEvent(p, a.FC, a.Source))
+			continue
+		}
+		s := g.shards[sid]
+		touched[sid] = true
+		done := make(chan error, 1)
+		acks[i] = done
+		ev := incremental.AnswerEvent(lp, a.FC, a.Source)
+		// Same two-phase shape as Add: append + apply on the queue
+		// goroutine, acknowledgment after the commit group syncs.
+		s.q.push(func() {
+			wait, err := durable, error(nil)
+			if _, known := s.eng.Answer(int(lp.Lo), int(lp.Hi)); !known {
+				wait, err = s.commit(ev)
+			}
+			st := statsOf(s.eng)
+			s.ack.push(func() { done <- g.acked(s, ev, wait, err, st) })
+		})
+	}
+	g.closeGroupsLocked(touched)
+	crossErr := g.crossAnswersLocked(cross)
 	g.mu.Unlock()
-	return <-done
+
+	for i, done := range acks {
+		aerr := crossErr
+		if done != nil {
+			aerr = <-done
+		}
+		if aerr == nil {
+			committed++
+		} else if err == nil {
+			err = fmt.Errorf("answer %d: %w", i, aerr)
+		}
+	}
+	return committed, err
 }
 
-// crossAnswerLocked caches a cross-shard answer at the router, logging
-// it first (WAL discipline). Keep-first.
-func (g *Group) crossAnswerLocked(p record.Pair, fc float64, source string) error {
-	if _, known := g.st.xans[p]; known {
+// crossAnswersLocked caches cross-shard answers at the router: the
+// fresh ones (keep-first) are logged and committed with one fsync, then
+// applied — WAL discipline, and nothing is applied if the commit fails.
+func (g *Group) crossAnswersLocked(evs []journal.Event) error {
+	if len(evs) == 0 {
 		return nil
 	}
-	ev := incremental.AnswerEvent(p, fc, source)
-	if err := g.router.Append(ev); err != nil {
+	var fresh []journal.Event
+	logged := make(map[record.Pair]bool, len(evs))
+	for _, ev := range evs {
+		p := record.MakePair(record.ID(ev.Answer.Lo), record.ID(ev.Answer.Hi))
+		if _, known := g.st.xans[p]; known || logged[p] {
+			continue
+		}
+		if _, err := g.router.AppendAsync(ev); err != nil {
+			return err
+		}
+		logged[p] = true
+		fresh = append(fresh, ev)
+	}
+	if len(fresh) == 0 {
+		return nil
+	}
+	if err := g.router.Flush(); err != nil {
 		return err
 	}
-	if err := g.st.applyRouter(ev); err != nil {
-		return err
+	for _, ev := range fresh {
+		if err := g.st.applyRouter(ev); err != nil {
+			return err
+		}
 	}
 	g.publishSnapshotLocked()
 	return nil
@@ -534,7 +615,7 @@ func (g *Group) Resolve(ctx context.Context) (incremental.ResolveStats, error) {
 		Pending:      pend,
 		Answered:     answered,
 		Answer:       st.lookupAnswer,
-		Sink:         g.sinkAnswerLocked,
+		Sink:         g.sinkAnswersLocked,
 		Ctx:          ctx,
 	})
 	if err != nil {
@@ -570,19 +651,41 @@ func (g *Group) Resolve(ctx context.Context) (incremental.ResolveStats, error) {
 	return stats, nil
 }
 
-// sinkAnswerLocked routes one fresh resolve answer to its durable home:
-// the owning shard's journal for same-shard pairs, the router journal
-// otherwise. Safe to call only under a barrier (shard queues drained).
-func (g *Group) sinkAnswerLocked(p record.Pair, fc float64, source string) error {
-	sid, lp, same := g.st.sameShard(p)
-	if !same {
-		return g.crossAnswerLocked(p, fc, source)
+// sinkAnswersLocked gives one crowd iteration's fresh answers their
+// durable homes — the owning shard's journal for same-shard pairs, the
+// router journal otherwise — with one commit per touched journal, before
+// the next iteration is bought. Safe to call only under a barrier (shard
+// queues drained). A shard failure is sticky: its engine has applied
+// answers that never became durable.
+func (g *Group) sinkAnswersLocked(fresh []record.Pair, fcs []float64, source string) error {
+	var cross []journal.Event
+	touched := make([]bool, len(g.shards))
+	for i, p := range fresh {
+		sid, lp, same := g.st.sameShard(p)
+		if !same {
+			cross = append(cross, incremental.AnswerEvent(p, fcs[i], source))
+			continue
+		}
+		s := g.shards[sid]
+		if _, known := s.eng.Answer(int(lp.Lo), int(lp.Hi)); known {
+			continue // the session never re-asks, but stay idempotent anyway
+		}
+		if _, err := s.commit(incremental.AnswerEvent(lp, fcs[i], source)); err != nil {
+			g.failed = fmt.Errorf("resolve answer on shard %d: %w", sid, err)
+			return g.failed
+		}
+		touched[sid] = true
 	}
-	s := g.shards[sid]
-	if _, known := s.eng.Answer(int(lp.Lo), int(lp.Hi)); known {
-		return nil // the session never re-asks, but stay idempotent anyway
+	for sid, s := range g.shards {
+		if !touched[sid] {
+			continue
+		}
+		if err := s.log.Flush(); err != nil {
+			g.failed = fmt.Errorf("resolve answers on shard %d: %w", sid, err)
+			return g.failed
+		}
 	}
-	return s.commitSync(incremental.AnswerEvent(lp, fc, source))
+	return g.crossAnswersLocked(cross)
 }
 
 // Checkpoint drains all shards and writes a compacted snapshot to every

@@ -35,8 +35,8 @@ var durable = func() <-chan error {
 // openLog recovers the journal in fs and opens it for appending. cfg
 // supplies the checkpoint cadence and the recorder for the journal
 // counters; opt and pol are the store and group-commit settings, which
-// differ between shard journals (cfg's) and the router's (zero: one
-// fsync per event, no rotation); snapshot captures the state the
+// differ between shard journals (cfg's) and the router's (zero: no
+// window, no rotation); snapshot captures the state the
 // journal's checkpoints hold.
 func openLog(fs journal.FS, opt journal.Options, pol journal.GroupPolicy, cfg incremental.Config, snapshot func() *journal.Checkpoint) (*log, journal.Recovered, error) {
 	store, recovered, err := journal.OpenOptions(fs, opt)
@@ -54,9 +54,11 @@ func openLog(fs journal.FS, opt journal.Options, pol journal.GroupPolicy, cfg in
 
 // AppendAsync writes one event without blocking on durability; the
 // returned channel resolves once the commit group holding it has
-// synced, and only then may the event be acknowledged. An immediate
-// error means nothing was written. After a failed commit the journal is
-// poisoned and every later append fails — restart to recover.
+// synced, and only then may the event be acknowledged. Whoever waits on
+// it must first close the group (CloseGroup, Flush, or Append for a lone
+// event). An immediate error means nothing was written. After a failed
+// commit the journal is poisoned and every later append fails — restart
+// to recover.
 func (l *log) AppendAsync(ev journal.Event) (<-chan error, error) {
 	if l == nil {
 		return durable, nil
@@ -84,8 +86,18 @@ func (l *log) Append(ev journal.Event) error {
 	return <-wait
 }
 
+// CloseGroup ends a request's appends to this journal: everything it
+// appended commits with one fsync — now, or with a commit window once
+// the window has let concurrent requests join.
+func (l *log) CloseGroup() {
+	if l != nil {
+		l.commit.CloseGroup()
+	}
+}
+
 // Flush blocks until every appended event is durable — the barrier a
-// resolve or checkpoint takes first.
+// resolve or checkpoint takes first, and the one commit of a batch
+// appended under a barrier or the router lock, where nobody can join.
 func (l *log) Flush() error {
 	if l == nil {
 		return nil

@@ -16,7 +16,7 @@
 #              (default: all)
 #   SEED       workload seed (default: 1)
 #   COMMIT_WINDOW  journal group-commit window for the scenario
-#              servers, e.g. 2ms (default: empty = fsync per event)
+#              servers, e.g. 2ms (default: empty = one commit per request per journal)
 #   ROTATE_BYTES  WAL segment rotation size for the scenario servers
 #              (default: empty = no rotation)
 #   LABEL_SUFFIX  appended to every report label, so a batched run
