@@ -70,8 +70,8 @@ type Options struct {
 	// answers give identical results.
 	Seed int64
 	// Parallelism sizes the worker pool of the pruning phase's
-	// similarity join: 0 (or negative) means one worker per CPU, 1 runs
-	// the sequential reference path, n > 1 uses exactly n workers. The
+	// similarity join: 0 (or negative) means one worker per CPU, n ≥ 1
+	// uses exactly n workers (1 is one worker of the same code). The
 	// setting changes speed only — pruning output is byte-identical at
 	// every level, so results stay reproducible.
 	Parallelism int

@@ -1,7 +1,8 @@
 package blocking
 
 import (
-	"math"
+	"cmp"
+	"slices"
 	"sort"
 
 	"acd/internal/record"
@@ -14,138 +15,23 @@ type ScoredPair struct {
 	Score float64
 }
 
-// JaccardJoin returns all pairs of records whose token Jaccard similarity
-// strictly exceeds tau, with their scores. Records are tokenized once;
-// candidates are generated with a prefix-filtered inverted index and then
-// verified exactly. Results are sorted by descending score, ties broken
-// by pair order, so output is deterministic.
-func JaccardJoin(records []record.Record, tau float64) []ScoredPair {
-	n := len(records)
-	tokens := make([][]string, n)
-	for i, r := range records {
-		tokens[i] = record.SortedTokens(r.Text())
-	}
-	return JaccardJoinTokens(tokens, tau)
-}
-
-// JaccardJoinTokens is JaccardJoin over pre-tokenized records. tokens[i]
-// must be sorted and duplicate-free (record.SortedTokens form).
-func JaccardJoinTokens(tokens [][]string, tau float64) []ScoredPair {
-	n := len(tokens)
-
-	// Global token frequency orders prefixes by rarity: rare tokens first
-	// shrink the index postings dramatically.
-	freq := make(map[string]int)
-	for _, ts := range tokens {
-		for _, t := range ts {
-			freq[t]++
+// SortScored puts scored pairs in the order every join and the pruning
+// phase emit: descending score, ties broken by ascending pair. The
+// order is total over distinct pairs, so the result does not depend on
+// the order the pairs were produced in.
+func SortScored(sp []ScoredPair) {
+	slices.SortFunc(sp, func(a, b ScoredPair) int {
+		switch {
+		case a.Score > b.Score:
+			return -1
+		case a.Score < b.Score:
+			return 1
 		}
-	}
-	ordered := make([][]string, n)
-	for i, ts := range tokens {
-		o := append([]string(nil), ts...)
-		sort.Slice(o, func(a, b int) bool {
-			fa, fb := freq[o[a]], freq[o[b]]
-			if fa != fb {
-				return fa < fb
-			}
-			return o[a] < o[b]
-		})
-		ordered[i] = o
-	}
-
-	index := make(map[string][]int) // token -> record ids (ascending)
-	seen := make(map[record.Pair]struct{})
-	var out []ScoredPair
-
-	for i := 0; i < n; i++ {
-		ts := ordered[i]
-		if len(ts) == 0 {
-			continue
+		if c := cmp.Compare(a.Pair.Lo, b.Pair.Lo); c != 0 {
+			return c
 		}
-		p := prefixLen(len(ts), tau)
-		cands := make(map[int]struct{})
-		for _, t := range ts[:p] {
-			for _, j := range index[t] {
-				cands[j] = struct{}{}
-			}
-		}
-		for j := range cands {
-			pair := record.MakePair(record.ID(i), record.ID(j))
-			if _, dup := seen[pair]; dup {
-				continue
-			}
-			seen[pair] = struct{}{}
-			// Length filter: Jaccard ≤ min/max of the sizes.
-			la, lb := len(tokens[i]), len(tokens[j])
-			lo, hi := la, lb
-			if lo > hi {
-				lo, hi = hi, lo
-			}
-			if float64(lo)/float64(hi) <= tau {
-				continue
-			}
-			score := similarity.JaccardSorted(tokens[i], tokens[j])
-			if score > tau {
-				out = append(out, ScoredPair{Pair: pair, Score: score})
-			}
-		}
-		for _, t := range ts[:p] {
-			index[t] = append(index[t], i)
-		}
-	}
-	sortScored(out)
-	return out
-}
-
-// prefixLen is the prefix-filter length for a record of l tokens under
-// threshold tau: for Jaccard > tau, two sets of sizes la, lb need overlap
-// > tau/(1+tau) · (la+lb); a record can skip its last ceil(tau·la) tokens
-// and still share a prefix token with any qualifying partner. Prefix =
-// la − floor(tau·la) tokens. Shared by the sequential and parallel joins
-// so both index exactly the same tokens.
-func prefixLen(l int, tau float64) int {
-	p := l - int(math.Floor(tau*float64(l)))
-	if p < 1 && l > 0 {
-		p = 1
-	}
-	return p
-}
-
-func sortScored(sp []ScoredPair) {
-	sort.Slice(sp, func(i, j int) bool {
-		if sp[i].Score != sp[j].Score {
-			return sp[i].Score > sp[j].Score
-		}
-		if sp[i].Pair.Lo != sp[j].Pair.Lo {
-			return sp[i].Pair.Lo < sp[j].Pair.Lo
-		}
-		return sp[i].Pair.Hi < sp[j].Pair.Hi
+		return cmp.Compare(a.Pair.Hi, b.Pair.Hi)
 	})
-}
-
-// NaiveJoin computes the same result as JaccardJoin by scanning all
-// O(n²) pairs with the given metric (nil means token Jaccard). It exists
-// as the correctness oracle for JaccardJoin in tests and as the generic
-// path for non-Jaccard metrics.
-func NaiveJoin(records []record.Record, metric similarity.Metric, tau float64) []ScoredPair {
-	if metric == nil {
-		metric = similarity.Jaccard
-	}
-	var out []ScoredPair
-	for i := range records {
-		for j := i + 1; j < len(records); j++ {
-			score := metric(records[i].Text(), records[j].Text())
-			if score > tau {
-				out = append(out, ScoredPair{
-					Pair:  record.MakePair(records[i].ID, records[j].ID),
-					Score: score,
-				})
-			}
-		}
-	}
-	sortScored(out)
-	return out
 }
 
 // SortedNeighborhoodKey returns the merge/purge sort key of a record: its
@@ -200,6 +86,6 @@ func SortedNeighborhood(records []record.Record, window int) []ScoredPair {
 			})
 		}
 	}
-	sortScored(out)
+	SortScored(out)
 	return out
 }

@@ -1,10 +1,6 @@
 package blocking
 
-import (
-	"strings"
-
-	"acd/internal/record"
-)
+import "acd/internal/record"
 
 // IncrementalIndex is the online counterpart of JaccardJoin: an exact
 // token-Jaccard similarity join maintained one record at a time. Each
@@ -36,26 +32,19 @@ import (
 // shard router keeps a second one over all records for cross-shard
 // pairs.
 type IncrementalIndex struct {
-	tau      float64
-	ids      map[string]int32 // token -> dense token id, in first-seen order
-	postings [][]int32        // token id -> records holding it, ascending
-	sizes    []int32          // record -> distinct token count
-	nTokens  int              // total postings entries, for stats
+	tau float64
+	index
 
 	// Scratch reused by every Add, so a probe allocates nothing.
-	overlap []int32 // record -> tokens shared with the record being added; all zero between Adds
-	touched []int32 // records with overlap > 0, in first-touch order
-	query   []int32 // distinct token ids of the record being added
+	counter
+	query []int32 // distinct token ids of the record being added
 }
 
 // NewIncrementalIndex returns an empty index with the given pruning
 // threshold. Records added later form a candidate pair when their token
 // Jaccard similarity strictly exceeds tau.
 func NewIncrementalIndex(tau float64) *IncrementalIndex {
-	return &IncrementalIndex{
-		tau: tau,
-		ids: make(map[string]int32),
-	}
+	return &IncrementalIndex{tau: tau, index: newIndex()}
 }
 
 // Len returns the number of records indexed so far; the next Add
@@ -67,7 +56,7 @@ func (ix *IncrementalIndex) Tau() float64 { return ix.tau }
 
 // Postings returns the total number of (token, record) entries in the
 // inverted index — the size stat checkpoints record.
-func (ix *IncrementalIndex) Postings() int { return ix.nTokens }
+func (ix *IncrementalIndex) Postings() int { return ix.entries }
 
 // Add indexes the next record (its ID is the pre-call Len) given its
 // canonical text, and returns all candidate pairs it forms with earlier
@@ -75,30 +64,9 @@ func (ix *IncrementalIndex) Postings() int { return ix.nTokens }
 // ascending partner ID — deterministic, like the batch join's order.
 func (ix *IncrementalIndex) Add(text string) []ScoredPair {
 	id := int32(len(ix.sizes))
-
-	// Index first: the record's own entry is the last of each list it
-	// joins, which is also how a repeated token is recognised.
-	ix.query = ix.query[:0]
-	for _, tok := range record.Tokens(text) {
-		tid, known := ix.ids[tok]
-		if !known {
-			tid = int32(len(ix.postings))
-			// The token is a substring of the normalized text; a copy
-			// keeps the map from pinning every record's text.
-			ix.ids[strings.Clone(tok)] = tid
-			ix.postings = append(ix.postings, nil)
-		}
-		list := ix.postings[tid]
-		if n := len(list); n > 0 && list[n-1] == id {
-			continue
-		}
-		ix.postings[tid] = append(list, id)
-		ix.query = append(ix.query, tid)
-	}
-	size := len(ix.query)
-	ix.sizes = append(ix.sizes, int32(size))
+	ix.query = ix.index.add(text, ix.query[:0])
+	size := int32(len(ix.query))
 	ix.overlap = append(ix.overlap, 0)
-	ix.nTokens += size
 
 	// Locals keep the slice headers in registers across the walk.
 	overlap, touched := ix.overlap, ix.touched
@@ -115,16 +83,16 @@ func (ix *IncrementalIndex) Add(text string) []ScoredPair {
 
 	var out []ScoredPair
 	for _, j := range touched {
-		c := int(overlap[j])
+		c := overlap[j]
 		overlap[j] = 0
-		if score := float64(c) / float64(size+int(ix.sizes[j])-c); score > ix.tau {
+		if f := score(c, size+ix.sizes[j]); f > ix.tau {
 			out = append(out, ScoredPair{
 				Pair:  record.MakePair(record.ID(id), record.ID(j)),
-				Score: score,
+				Score: f,
 			})
 		}
 	}
 	ix.touched = touched[:0]
-	sortScored(out)
+	SortScored(out)
 	return out
 }

@@ -32,7 +32,7 @@ func TestIncrementalIndexSmall(t *testing.T) {
 	if ix.Postings() == 0 {
 		t.Errorf("no postings after %d adds", ix.Len())
 	}
-	sortScored(all)
+	SortScored(all)
 	want := JaccardJoin(mkRecords(texts), 0.3)
 	if !reflect.DeepEqual(all, want) {
 		t.Errorf("incremental = %v, want %v", all, want)
@@ -144,7 +144,7 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 				got = append(got, ix.Add(s)...)
 				postings += len(record.TokenSet(s))
 			}
-			sortScored(got)
+			SortScored(got)
 			want := JaccardJoin(mkRecords(texts), tau)
 			if len(want) == 0 {
 				want = nil

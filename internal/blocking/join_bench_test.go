@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"acd/internal/dataset"
+	"acd/internal/obs"
 	"acd/internal/record"
 )
 
@@ -39,30 +41,39 @@ func benchRecords(n int) []record.Record {
 	return recs
 }
 
-// BenchmarkJaccardJoinParallel measures the parallel sharded join
-// against the sequential reference on a 5000-record synthetic workload.
-// The seq and par1 variants are the baseline; parN and auto are the
-// speedup claims (run on a multi-core machine: the fan-out degenerates
-// to little more than queue overhead on a single core).
-func BenchmarkJaccardJoinParallel(b *testing.B) {
-	recs := benchRecords(5000)
-	b.Run("seq", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = JaccardJoin(recs, 0.3)
+// BenchmarkJaccardJoin isolates the indexed join on the two dataset
+// shapes the repository benchmark's batch-dedup workload draws: sparse10k
+// (10 000 records over 3 600 skewed entities — many small clusters, and
+// four near-ubiquitous tokens in every record) and dense1500 (1 500
+// records over 10 even entities — a few large clusters, most candidates
+// true pairs). Each runs with one worker and with two. Besides ns/op it
+// reports ns/record and verified/emitted, the funnel ratio
+// TestJoinFunnelBound pins.
+func BenchmarkJaccardJoin(b *testing.B) {
+	for _, shape := range []struct {
+		name string
+		cfg  dataset.SyntheticConfig
+	}{
+		{"sparse10k", dataset.SyntheticConfig{Records: 10000, Entities: 3600, Skew: 0.6, Seed: 1}},
+		{"dense1500", dataset.SyntheticConfig{Records: 1500, Entities: 10, Seed: 1}},
+	} {
+		d, err := dataset.Synthetic(shape.cfg)
+		if err != nil {
+			b.Fatal(err)
 		}
-	})
-	for _, p := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("par%d", p), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_ = JaccardJoinParallel(recs, 0.3, p)
-			}
-		})
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/workers%d", shape.name, workers), func(b *testing.B) {
+				b.ReportAllocs()
+				rec := obs.New()
+				for i := 0; i < b.N; i++ {
+					benchPairs += len(JaccardJoinParallelObs(d.Records, 0.3, workers, rec))
+				}
+				counters := rec.Snapshot().Counters
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(d.Records)), "ns/record")
+				b.ReportMetric(float64(counters[MetricPairsVerified])/float64(counters[MetricPairsEmitted]), "verified/emitted")
+			})
+		}
 	}
-	b.Run("auto", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = JaccardJoinParallel(recs, 0.3, 0)
-		}
-	})
 }
 
 // BenchmarkNaiveJoinParallel measures the parallel all-pairs scan on a
@@ -78,23 +89,6 @@ func BenchmarkNaiveJoinParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("par%d", p), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				_ = NaiveJoinParallel(recs, nil, 0.3, p)
-			}
-		})
-	}
-}
-
-// BenchmarkSortedNeighborhoodParallel measures the parallel window scan.
-func BenchmarkSortedNeighborhoodParallel(b *testing.B) {
-	recs := benchRecords(5000)
-	b.Run("seq", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = SortedNeighborhood(recs, 10)
-		}
-	})
-	for _, p := range []int{2, 4} {
-		b.Run(fmt.Sprintf("par%d", p), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_ = SortedNeighborhoodParallel(recs, 10, p)
 			}
 		})
 	}

@@ -1,28 +1,21 @@
 package blocking
 
 // Metric names emitted by the instrumented similarity joins (the *Obs
-// variants in parallel.go). Phase timers use the same "pruning/" prefix
-// so the whole machine phase renders as one group.
+// variants in join.go). Phase timers use the same "pruning/" prefix so
+// the whole machine phase renders as one group.
 const (
-	// MetricPairsVerified counts candidate pairs that reached similarity
-	// verification (after the prefix filter and length filter for the
-	// indexed join; every pair for the naive join) — the "pairs in" of
-	// the pruning funnel.
+	// MetricPairsVerified counts the candidate pairs whose exact score
+	// was computed: for the indexed join, candidates whose overlap was
+	// completed after the bound checks; every pair for the naive join —
+	// the "pairs in" of the pruning funnel.
 	MetricPairsVerified = "pruning/pairs_verified"
 	// MetricPairsEmitted counts pairs that survived the threshold — the
 	// "pairs out", i.e. the candidate set size |S|.
 	MetricPairsEmitted = "pruning/pairs_emitted"
-	// MetricShardIndexSeconds is the distribution of per-shard inverted
-	// index build times (seconds): skew here means hot token shards.
-	MetricShardIndexSeconds = "pruning/shard_index_seconds"
-	// MetricShardFreqSeconds is the distribution of per-shard token
-	// frequency merge times (seconds).
-	MetricShardFreqSeconds = "pruning/shard_freq_seconds"
 
-	// Phase timer names of the join pipeline stages.
-	PhaseTokenize = "pruning/tokenize"
-	PhaseFreq     = "pruning/freq"
-	PhaseOrder    = "pruning/order"
-	PhaseIndex    = "pruning/index"
-	PhaseVerify   = "pruning/verify"
+	// Phase timer names of the join's two stages: the single-threaded
+	// index build, and the fanned-out probe (for the naive join, the
+	// all-pairs scan).
+	PhaseIndex = "pruning/index"
+	PhaseProbe = "pruning/probe"
 )

@@ -8,7 +8,7 @@ import (
 )
 
 // MinHash + LSH candidate generation: an alternative to the exact
-// prefix-filtered join for corpora too large to index exactly. Records
+// indexed join for corpora too large to index exactly. Records
 // are summarized as MinHash signatures (bands × rows hash minima);
 // records colliding in any band become candidates and are then verified
 // with the exact Jaccard score, so the output has perfect precision and
@@ -79,7 +79,7 @@ func MinHashJoin(records []record.Record, tau float64, cfg MinHashConfig) []Scor
 			}
 		}
 	}
-	sortScored(out)
+	SortScored(out)
 	return out
 }
 

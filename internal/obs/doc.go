@@ -18,7 +18,7 @@
 //   - histograms: value distributions with count/sum/min/max and
 //     quantile estimates (Observe), e.g. "pivot/batch_k";
 //   - phases: wall-clock timers started with StartPhase and stopped by
-//     the returned func, e.g. "pruning/verify".
+//     the returned func, e.g. "pruning/probe".
 //
 // Snapshot returns an immutable Metrics view that renders as a text
 // table (WriteText), JSON (WriteJSON), or merges with other snapshots

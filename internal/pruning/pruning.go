@@ -1,8 +1,6 @@
 package pruning
 
 import (
-	"sort"
-
 	"acd/internal/blocking"
 	"acd/internal/cluster"
 	"acd/internal/obs"
@@ -53,15 +51,15 @@ type Options struct {
 	// Metric scores record pairs. Nil means token Jaccard (run through
 	// the indexed join); any other metric uses the naive all-pairs scan.
 	Metric similarity.Metric
-	// Parallelism fans the similarity join out over a worker pool:
-	// 0 (or negative) sizes the pool to GOMAXPROCS, 1 forces the
-	// sequential reference implementation, n > 1 uses exactly n workers.
-	// Output is byte-identical across all settings (see the equivalence
-	// property tests in internal/blocking).
+	// Parallelism fans the similarity join's probe out over a worker
+	// pool: 0 (or negative) sizes the pool to GOMAXPROCS, n ≥ 1 uses
+	// exactly n workers — 1 is one worker of the same code, not a
+	// separate implementation. Output is byte-identical across all
+	// settings (see the differential tests in internal/blocking).
 	Parallelism int
 	// Obs, when set, receives the phase's metrics: the pruning/* funnel
-	// counters, join stage timers and per-shard build timings. Nil (the
-	// zero value) records nothing. Recording never changes the output.
+	// counters and the join's index and probe timers. Nil (the zero
+	// value) records nothing. Recording never changes the output.
 	Obs *obs.Recorder
 }
 
@@ -76,6 +74,19 @@ func (o Options) EffectiveTau() float64 {
 
 // Prune runs the pruning phase over records and returns the candidate
 // set.
+//
+// Pairs name records by their position in the slice, whatever their ID
+// fields say and whichever join runs — the universe Candidates.N sizes
+// and every consumer indexes.
+//
+// The two joins disagree on one input by design: records without a
+// single token. similarity.Jaccard scores two of them 1 (two empty sets
+// are equal), so a non-nil Metric — even similarity.Jaccard itself,
+// which selects the all-pairs scan — pairs them up; the indexed join
+// behind Metric == nil, like blocking.IncrementalIndex, pairs records
+// through shared tokens and emits nothing for them. The indexed rule is
+// the useful one (blank records are not evidence of a duplicate) and is
+// what the experiments run on; TestPrunePositionsAndTokenless pins both.
 func Prune(records []record.Record, opts Options) *Candidates {
 	rec := opts.Obs
 	done := rec.StartPhase("pruning")
@@ -114,15 +125,7 @@ func FromScores(n int, scores cluster.Scores, tau float64) *Candidates {
 			machine[p] = f
 		}
 	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].Score != pairs[j].Score {
-			return pairs[i].Score > pairs[j].Score
-		}
-		if pairs[i].Pair.Lo != pairs[j].Pair.Lo {
-			return pairs[i].Pair.Lo < pairs[j].Pair.Lo
-		}
-		return pairs[i].Pair.Hi < pairs[j].Pair.Hi
-	})
+	blocking.SortScored(pairs)
 	return &Candidates{Pairs: pairs, Machine: machine, N: n}
 }
 

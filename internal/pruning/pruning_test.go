@@ -135,6 +135,51 @@ func TestPruneParallelismEquivalent(t *testing.T) {
 	}
 }
 
+// TestPrunePositionsAndTokenless pins two rules the indexed join and
+// the all-pairs scan must share or be known to differ on. Pairs name
+// records by position in the slice, not by their ID field, on both
+// paths — so records whose ids are not 0..n−1 give the same candidate
+// set under Metric == nil and Metric == similarity.Jaccard. And the one
+// place the paths differ: two records without a token score 1 under
+// similarity.Jaccard and pair up in the scan, while the indexed join
+// (like blocking.IncrementalIndex) emits nothing without a shared token.
+func TestPrunePositionsAndTokenless(t *testing.T) {
+	recs := []record.Record{
+		record.New(40, map[string]string{"t": "alpha beta gamma delta"}),
+		record.New(7, map[string]string{"t": "alpha beta gamma epsilon"}),
+		record.New(7, map[string]string{"t": "unrelated words here"}), // a duplicate id, even
+		record.New(1000, map[string]string{"t": "alpha beta gamma"}),
+	}
+	indexed := Prune(recs, Options{})
+	scanned := Prune(recs, Options{Metric: similarity.Jaccard})
+	if !reflect.DeepEqual(indexed.Pairs, scanned.Pairs) {
+		t.Errorf("indexed join and all-pairs scan disagree over non-dense ids:\n indexed %v\n scanned %v", indexed.Pairs, scanned.Pairs)
+	}
+	want := []record.Pair{record.MakePair(0, 3), record.MakePair(1, 3), record.MakePair(0, 1)}
+	if got := indexed.PairList(); !reflect.DeepEqual(got, want) {
+		t.Errorf("pairs %v, want positions %v", got, want)
+	}
+	for _, sp := range indexed.Pairs {
+		if int(sp.Pair.Hi) >= indexed.N {
+			t.Errorf("pair %v names a record outside the universe of %d", sp.Pair, indexed.N)
+		}
+	}
+
+	blank := append([]record.Record{record.New(0, nil), record.New(1, map[string]string{"t": " -- "})}, recs...)
+	indexed = Prune(blank, Options{})
+	scanned = Prune(blank, Options{Metric: similarity.Jaccard})
+	blanks := record.MakePair(0, 1)
+	if indexed.Contains(blanks) {
+		t.Errorf("indexed join paired two tokenless records")
+	}
+	if got := scanned.Score(blanks); got != 1 {
+		t.Errorf("all-pairs scan scores two tokenless records %v, want 1 (similarity.Jaccard of two empty sets)", got)
+	}
+	if len(scanned.Pairs) != len(indexed.Pairs)+1 {
+		t.Errorf("the paths differ by more than the tokenless pair: indexed %v, scanned %v", indexed.Pairs, scanned.Pairs)
+	}
+}
+
 func TestFromScores(t *testing.T) {
 	scores := cluster.Scores{
 		record.MakePair(0, 1): 0.9,

@@ -134,8 +134,8 @@ func TokenSet(s string) map[string]struct{} {
 }
 
 // SortedTokens returns the distinct normalized tokens of s in sorted
-// order. Sorted token slices are the representation used by the prefix
-// filter in the blocking package and by sorted-neighborhood keying.
+// order. Sorted token slices are the representation used by the MinHash
+// join's verification and by sorted-neighborhood keying.
 func SortedTokens(s string) []string {
 	set := TokenSet(s)
 	out := make([]string, 0, len(set))

@@ -12,7 +12,7 @@ import (
 // results land in an index-addressed slice and the score cache is
 // updated serially in input order afterwards, so the outcome is
 // byte-identical to the sequential loop (the same pattern as the
-// sharded similarity join in internal/blocking).
+// parallel similarity join in internal/blocking).
 const (
 	// parallelScoreMin is the uncached-op count below which scoreAll
 	// stays sequential: the drain loop's per-apply dirty sets are tiny

@@ -45,5 +45,15 @@ if [ -n "$both" ]; then
 	fail=1
 fi
 
+# The exact join stays a count-merge over interned ids: in non-test
+# internal/blocking only the MinHash join (minhash.go) and
+# SortedNeighborhood (blocking.go, which holds no join) may score a pair
+# by merging token strings, so string-merge verification cannot creep
+# back into JaccardJoin or IncrementalIndex.
+if grep -n 'similarity\.JaccardSorted(' $(ls internal/blocking/*.go | grep -v '_test\.go$\|/minhash\.go$\|/blocking\.go$'); then
+	echo "internal/blocking may call similarity.JaccardSorted only from minhash.go and SortedNeighborhood: the exact joins count overlaps on the interned index" >&2
+	fail=1
+fi
+
 [ "$fail" -eq 0 ] || exit 1
 scripts/loc.sh
