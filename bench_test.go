@@ -30,6 +30,7 @@ import (
 	"acd/internal/dataset"
 	"acd/internal/experiments"
 	"acd/internal/machine"
+	"acd/internal/market"
 	"acd/internal/pruning"
 	"acd/internal/quality"
 	"acd/internal/refine"
@@ -286,7 +287,11 @@ func BenchmarkPCPivot(b *testing.B) {
 }
 
 // BenchmarkPCRefine measures one cluster refinement phase on each
-// dataset, starting from a fresh PC-Pivot clustering.
+// dataset, starting from a fresh PC-Pivot clustering. The dense row is
+// one campaign of the repository benchmark's batch-dedup shape: 1 500
+// records over 10 even entities, answered through a marketplace over
+// market.DefaultFleetSpec with transitive short-circuiting, as
+// acd.Deduplicate wires it.
 func BenchmarkPCRefine(b *testing.B) {
 	for _, name := range experiments.DatasetNames {
 		b.Run(name, func(b *testing.B) {
@@ -303,17 +308,43 @@ func BenchmarkPCRefine(b *testing.B) {
 			}
 		})
 	}
+	b.Run("dense", func(b *testing.B) {
+		d, err := dataset.Synthetic(dataset.SyntheticConfig{Records: 1500, Entities: 10, Seed: benchSeed})
+		if err != nil {
+			b.Fatal(err)
+		}
+		cands := pruning.Prune(d.Records, pruning.Options{})
+		answers := crowd.BuildAnswers(cands.PairList(), d.TruthFn(), crowd.UniformDifficulty(0.05), crowd.ThreeWorker(benchSeed))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			backends, err := market.Fleet(market.DefaultFleetSpec, answers.Score, benchSeed)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sess := crowd.NewSession(market.New(market.Config{
+				Backends: backends, BudgetCents: market.Unlimited,
+				Order: market.OrderConfidence, ShortCircuit: true,
+				Prior: cands.Score, Seed: benchSeed,
+			}))
+			c, _ := core.PCPivot(cands, sess, core.DefaultEpsilon, rand.New(rand.NewSource(benchSeed)))
+			b.StartTimer()
+			_ = refine.PCRefine(c, cands, sess, refine.DefaultX)
+		}
+	})
 }
 
 // BenchmarkMachinePivot measures the machine-only Pivot baseline over
 // the candidate scores.
 func BenchmarkMachinePivot(b *testing.B) {
 	in := instance(b, "Paper")
+	scores := in.Cands.Machine()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rng := rand.New(rand.NewSource(int64(i)))
-		_ = machine.Pivot(in.Cands.N, in.Cands.Machine, rng)
+		_ = machine.Pivot(in.Cands.N, scores, rng)
 	}
 }
 
@@ -322,11 +353,12 @@ func BenchmarkMachinePivot(b *testing.B) {
 func BenchmarkLambda(b *testing.B) {
 	in := instance(b, "Paper")
 	rng := rand.New(rand.NewSource(7))
-	c := machine.Pivot(in.Cands.N, in.Cands.Machine, rng)
+	scores := in.Cands.Machine()
+	c := machine.Pivot(in.Cands.N, scores, rng)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = cluster.Lambda(c, in.Cands.Machine)
+		_ = cluster.Lambda(c, scores)
 	}
 }
 
@@ -334,7 +366,7 @@ func BenchmarkLambda(b *testing.B) {
 func BenchmarkEvaluate(b *testing.B) {
 	in := instance(b, "Product")
 	rng := rand.New(rand.NewSource(7))
-	c := machine.Pivot(in.Cands.N, in.Cands.Machine, rng)
+	c := machine.Pivot(in.Cands.N, in.Cands.Machine(), rng)
 	truth := in.Data.Truth()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

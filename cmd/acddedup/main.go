@@ -140,7 +140,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "acddedup: no ground-truth entities; falling back to machine mode")
 		}
 		rng := rand.New(rand.NewSource(*seed))
-		result = machine.BOEMObs(machine.BestPivotObs(cands.N, cands.Machine, 10, rng, rec), cands.Machine, rec)
+		scores := cands.Machine()
+		result = machine.BOEMObs(machine.BestPivotObs(cands.N, scores, 10, rng, rec), scores, rec)
 	case *mode == "acd" && *marketSpec != "":
 		if *answersIn != "" {
 			fmt.Fprintln(stderr, "acddedup: -market and -answers are mutually exclusive")

@@ -79,7 +79,7 @@ func Crowdclustering(cands *pruning.Candidates, answers crowd.Source, subsets, s
 	// Step 3: learn the threshold minimizing disagreement with the
 	// observations, scanning candidate thresholds at observation scores.
 	threshold := learnThreshold(observations)
-	c := machine.Agglomerative(n, cands.Machine, threshold)
+	c := machine.Agglomerative(n, cands.Machine(), threshold)
 	return Result{Clusters: c, Stats: sess.Stats()}
 }
 

@@ -337,8 +337,11 @@ func AnswerBatch(ctx context.Context, src Source, pairs []record.Pair) ([]float6
 // (Equations 7–8 count exactly the pairs outside A).
 type Session struct {
 	answers Source
-	known   map[record.Pair]float64
-	order   []record.Pair // known pairs in first-crowdsourced order
+	// A in first-crowdsourced order: order[i] was answered scores[i],
+	// and known maps each pair's packed key to its position i.
+	known   map[record.PairKey]int32
+	order   []record.Pair
+	scores  []float64
 	stats   Stats
 	rec     *obs.Recorder
 	ctx     context.Context // nil = never cancelled
@@ -353,7 +356,7 @@ type Session struct {
 func NewSession(answers Source) *Session {
 	s := &Session{
 		answers: answers,
-		known:   make(map[record.Pair]float64),
+		known:   make(map[record.PairKey]int32),
 	}
 	if c, ok := answers.(RecorderCarrier); ok {
 		s.rec = c.Recorder()
@@ -428,17 +431,21 @@ func (s *Session) Ask(pairs []record.Pair) []float64 {
 	}
 
 	// Identify the distinct pairs this batch actually needs answered.
+	// Each fresh pair is entered into known at the position it will
+	// take in A, so a duplicate later in the batch finds it there; a
+	// batch that fails takes those entries back out. at[i] is pairs[i]'s
+	// position in A.
 	var fresh []record.Pair
-	inBatch := make(map[record.Pair]struct{})
-	for _, p := range pairs {
-		if _, ok := s.known[p]; ok {
-			continue
+	at := make([]int32, len(pairs))
+	for i, p := range pairs {
+		k := p.Key()
+		pos, ok := s.known[k]
+		if !ok {
+			pos = int32(len(s.order) + len(fresh))
+			s.known[k] = pos
+			fresh = append(fresh, p)
 		}
-		if _, dup := inBatch[p]; dup {
-			continue
-		}
-		inBatch[p] = struct{}{}
-		fresh = append(fresh, p)
+		at[i] = pos
 	}
 
 	if len(fresh) > 0 {
@@ -449,20 +456,23 @@ func (s *Session) Ask(pairs []record.Pair) []float64 {
 		// charges nothing.
 		scores, err := AnswerBatch(s.ctx, s.answers, fresh)
 		if err != nil {
+			for _, p := range fresh {
+				delete(s.known, p.Key())
+			}
 			s.abort(err)
 			return make([]float64, len(pairs))
 		}
 		vc, _ := s.answers.(VoteCounter)
 		votes := 0
-		for i, p := range fresh {
-			s.known[p] = scores[i]
-			s.order = append(s.order, p)
+		for _, p := range fresh {
 			if vc != nil {
 				votes += vc.VoteCount(p)
 			} else {
 				votes += s.answers.Config().Workers
 			}
 		}
+		s.order = append(s.order, fresh...)
+		s.scores = append(s.scores, scores...)
 		s.stats.Votes += votes
 		s.stats.Pairs += len(fresh)
 		s.stats.Iterations++
@@ -506,8 +516,8 @@ func (s *Session) Ask(pairs []record.Pair) []float64 {
 	s.rec.Count(MetricQuestionsCached, int64(len(pairs)-len(fresh)))
 
 	out := make([]float64, len(pairs))
-	for i, p := range pairs {
-		out[i] = s.known[p]
+	for i, pos := range at {
+		out[i] = s.scores[pos]
 	}
 	return out
 }
@@ -526,37 +536,48 @@ func (s *Session) AskOne(p record.Pair) float64 {
 // later asks for it. Priming a pair the session already knows is a
 // no-op: the first value sticks, matching Ask's cache semantics.
 func (s *Session) Prime(p record.Pair, fc float64) {
-	if _, ok := s.known[p]; ok {
+	k := p.Key()
+	if _, ok := s.known[k]; ok {
 		return
 	}
-	s.known[p] = fc
+	s.known[k] = int32(len(s.order))
 	s.order = append(s.order, p)
+	s.scores = append(s.scores, fc)
 }
 
 // Known returns the crowd score of p if this session has already
 // crowdsourced it (membership in the set A).
 func (s *Session) Known(p record.Pair) (float64, bool) {
-	fc, ok := s.known[p]
-	return fc, ok
+	pos, ok := s.known[p.Key()]
+	if !ok {
+		return 0, false
+	}
+	return s.scores[pos], true
 }
 
 // KnownCount returns |A| for this session.
-func (s *Session) KnownCount() int { return len(s.known) }
+func (s *Session) KnownCount() int { return len(s.order) }
 
 // KnownOrdered returns the session's A as a slice in first-crowdsourced
 // order. Because the algorithms issue pairs in a deterministic sequence,
 // this order is reproducible across runs — unlike ranging over the
 // KnownPairs map — so estimator rebuilds that consume it stay
 // deterministic. The returned slice is a view; callers must not mutate
-// it. Scores are read back through Known.
+// it. KnownScores holds the scores in the same order.
 func (s *Session) KnownOrdered() []record.Pair { return s.order }
+
+// KnownScores returns the crowd scores of A aligned with KnownOrdered:
+// KnownScores()[i] is the score of KnownOrdered()[i]. A only grows, so
+// a caller that has consumed a prefix reads just the new tail. The
+// returned slice is a view; callers must not mutate it.
+func (s *Session) KnownScores() []float64 { return s.scores }
 
 // KnownPairs returns a copy of the session's A as a map. Callers may
 // mutate the returned map freely.
 func (s *Session) KnownPairs() map[record.Pair]float64 {
-	out := make(map[record.Pair]float64, len(s.known))
-	for p, fc := range s.known {
-		out[p] = fc
+	out := make(map[record.Pair]float64, len(s.order))
+	for i, p := range s.order {
+		out[p] = s.scores[i]
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package crowd
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -135,4 +136,97 @@ func TestSessionPrime(t *testing.T) {
 	if s.Stats().Pairs != 1 {
 		t.Errorf("stats charged %d pairs, want only the fresh one", s.Stats().Pairs)
 	}
+}
+
+// TestSessionKnownScoresAligned: KnownScores stays aligned with
+// KnownOrdered — entry i is Known(KnownOrdered()[i]) — through batches
+// with in-batch duplicates, pairs already known from earlier batches,
+// Prime (fresh and redundant), and a batch the context cancels, which
+// must leave A exactly as it was.
+func TestSessionKnownScoresAligned(t *testing.T) {
+	score := func(p record.Pair) float64 { return float64((int(p.Lo)*7+int(p.Hi))%4) / 3 }
+	s := NewSession(SourceFunc{Fn: score, Setting: ThreeWorker(1)})
+	check := func(step string) {
+		t.Helper()
+		known, scores := s.KnownOrdered(), s.KnownScores()
+		if len(known) != len(scores) || len(known) != s.KnownCount() {
+			t.Fatalf("%s: %d pairs, %d scores, KnownCount %d", step, len(known), len(scores), s.KnownCount())
+		}
+		seen := map[record.Pair]bool{}
+		for i, p := range known {
+			if seen[p] {
+				t.Fatalf("%s: %v twice in A", step, p)
+			}
+			seen[p] = true
+			fc, ok := s.Known(p)
+			if !ok || fc != scores[i] {
+				t.Fatalf("%s: KnownScores()[%d] = %v, Known(%v) = %v, %v", step, i, scores[i], p, fc, ok)
+			}
+		}
+		if got := s.KnownPairs(); len(got) != len(known) {
+			t.Fatalf("%s: KnownPairs has %d pairs, want %d", step, len(got), len(known))
+		}
+	}
+	p := func(a, b record.ID) record.Pair { return record.MakePair(a, b) }
+
+	out := s.Ask([]record.Pair{p(0, 1), p(0, 2), p(0, 1), p(1, 2), p(0, 2)})
+	for i, q := range []record.Pair{p(0, 1), p(0, 2), p(0, 1), p(1, 2), p(0, 2)} {
+		if out[i] != score(q) {
+			t.Errorf("Ask[%d] = %v, want %v", i, out[i], score(q))
+		}
+	}
+	check("duplicates")
+	s.Prime(p(3, 4), 1)
+	s.Prime(p(0, 1), 0.5) // already known: no-op
+	check("prime")
+	out = s.Ask([]record.Pair{p(3, 4), p(2, 3), p(0, 1), p(2, 3), p(4, 5)})
+	if out[0] != 1 || out[2] != score(p(0, 1)) || out[1] != out[3] {
+		t.Errorf("cached/primed answers wrong: %v", out)
+	}
+	check("cached")
+	if s.Stats().Pairs != 5 || s.KnownCount() != 6 {
+		t.Errorf("stats %+v, |A| %d; want 5 asked, 6 known", s.Stats(), s.KnownCount())
+	}
+
+	// A cancelled batch answers nothing and leaves A untouched.
+	ctx, cancel := context.WithCancel(context.Background())
+	s.Bind(ctx)
+	cancel()
+	before := append([]record.Pair(nil), s.KnownOrdered()...)
+	s.Ask([]record.Pair{p(7, 8), p(0, 1)})
+	if s.Err() == nil {
+		t.Fatal("cancelled batch did not abort the session")
+	}
+	if _, ok := s.Known(p(7, 8)); ok || s.KnownCount() != len(before) {
+		t.Errorf("cancelled batch changed A")
+	}
+	check("cancelled")
+}
+
+// TestSessionFailedBatchRollsBack: a batch whose source fails mid-flight
+// leaves no trace of its fresh pairs in A.
+func TestSessionFailedBatchRollsBack(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	src := &cancelOnBatch{cancel: cancel}
+	s := NewSession(src)
+	s.Prime(record.MakePair(0, 1), 1)
+	s.Bind(ctx)
+	s.Ask([]record.Pair{record.MakePair(2, 3), record.MakePair(0, 1), record.MakePair(2, 3)})
+	if s.Err() == nil {
+		t.Fatal("failed batch did not abort the session")
+	}
+	if _, ok := s.Known(record.MakePair(2, 3)); ok || s.KnownCount() != 1 || len(s.KnownScores()) != 1 {
+		t.Errorf("failed batch left %d pairs in A, want the 1 primed", s.KnownCount())
+	}
+}
+
+// cancelOnBatch is a context-aware batch source that cancels its
+// campaign's context and fails the batch it was handed.
+type cancelOnBatch struct{ cancel context.CancelFunc }
+
+func (c *cancelOnBatch) Score(record.Pair) float64 { return 1 }
+func (c *cancelOnBatch) Config() Config            { return ThreeWorker(1) }
+func (c *cancelOnBatch) ScoreBatchCtx(ctx context.Context, _ []record.Pair) ([]float64, error) {
+	c.cancel()
+	return nil, ctx.Err()
 }

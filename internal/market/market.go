@@ -210,9 +210,9 @@ type Market struct {
 	pendingHITs  int // since the last Bill
 	pendingCents int
 	routed       int // questions routed (drives price spikes)
-	ledger       map[record.Pair]Charge
-	answered     map[record.Pair]float64 // every answer sold, for AnswerSet
-	parent       map[record.ID]record.ID // positive-closure union-find
+	ledger       map[record.PairKey]Charge
+	answered     map[record.PairKey]float64 // every answer sold, for AnswerSet
+	parent       []record.ID                // positive-closure union-find; ids past the end are roots
 	rng          *rand.Rand
 	simLatency   time.Duration // accumulated per-batch HIT makespans
 	exhausted    bool          // a paid route was ever refused for budget
@@ -231,9 +231,8 @@ func New(cfg Config) *Market {
 	}
 	m := &Market{
 		cfg:      cfg,
-		ledger:   make(map[record.Pair]Charge),
-		answered: make(map[record.Pair]float64),
-		parent:   make(map[record.ID]record.ID),
+		ledger:   make(map[record.PairKey]Charge),
+		answered: make(map[record.PairKey]float64),
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 	}
 	for _, b := range cfg.Backends {
@@ -315,8 +314,8 @@ func (m *Market) Ledger() map[record.Pair]Charge {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	out := make(map[record.Pair]Charge, len(m.ledger))
-	for p, c := range m.ledger {
-		out[p] = c
+	for k, c := range m.ledger {
+		out[k.Pair()] = c
 	}
 	return out
 }
@@ -328,9 +327,13 @@ func (m *Market) Ledger() map[record.Pair]Charge {
 func (m *Market) AnswerSet() *crowd.AnswerSet {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	a := crowd.FixedAnswers(m.answered, m.Config())
-	for p, c := range m.ledger {
-		a.SetCharge(p, c.Backend, c.Cents)
+	answered := make(map[record.Pair]float64, len(m.answered))
+	for k, fc := range m.answered {
+		answered[k.Pair()] = fc
+	}
+	a := crowd.FixedAnswers(answered, m.Config())
+	for k, c := range m.ledger {
+		a.SetCharge(k.Pair(), c.Backend, c.Cents)
 	}
 	return a
 }
@@ -340,7 +343,7 @@ func (m *Market) AnswerSet() *crowd.AnswerSet {
 func (m *Market) VoteCount(p record.Pair) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	c, ok := m.ledger[p]
+	c, ok := m.ledger[p.Key()]
 	if !ok {
 		return 0
 	}
@@ -401,8 +404,8 @@ func (m *Market) scoreBatch(ctx context.Context, pairs []record.Pair) ([]float64
 		// the consult-once discipline ChaosSource established.
 		if m.cfg.ShortCircuit && m.find(p.Lo) == m.find(p.Hi) {
 			out[i] = 1
-			m.answered[p] = 1
-			m.ledger[p] = Charge{Backend: ChargeInferred}
+			m.answered[p.Key()] = 1
+			m.ledger[p.Key()] = Charge{Backend: ChargeInferred}
 			m.rec.Count(MetricShortCircuited, 1)
 			m.rec.Count(crowd.MetricOracleInvocations, 1)
 			continue
@@ -415,9 +418,9 @@ func (m *Market) scoreBatch(ctx context.Context, pairs []record.Pair) ([]float64
 		case b == nil:
 			// No affordable backend at all: degrade to the prior.
 			out[i] = prior
-			m.answered[p] = prior
+			m.answered[p.Key()] = prior
 			m.union(p, prior)
-			m.ledger[p] = Charge{Backend: ChargeMachine}
+			m.ledger[p.Key()] = Charge{Backend: ChargeMachine}
 			m.rec.Count(crowd.MetricOracleInvocations, 1)
 			m.rec.Count(MetricFallbacks, 1)
 		case b.cfg.Machine:
@@ -428,9 +431,9 @@ func (m *Market) scoreBatch(ctx context.Context, pairs []record.Pair) ([]float64
 				m.rec.Count(crowd.MetricOracleInvocations, 1)
 			}
 			out[i] = fc
-			m.answered[p] = fc
+			m.answered[p.Key()] = fc
 			m.union(p, fc)
-			m.ledger[p] = Charge{Backend: b.cfg.ID}
+			m.ledger[p.Key()] = Charge{Backend: b.cfg.ID}
 			m.rec.Count(BackendMetric(b.cfg.ID, "questions"), 1)
 		default:
 			if len(b.buf) == 0 {
@@ -589,9 +592,9 @@ func (m *Market) flush(ctx context.Context, b *backendState, out []float64) (tim
 	for i, q := range b.buf {
 		fc := scores[i]
 		out[q.idx] = fc
-		m.answered[q.p] = fc
+		m.answered[q.p.Key()] = fc
 		m.union(q.p, fc)
-		m.ledger[q.p] = Charge{Backend: b.cfg.ID, Cents: perPair}
+		m.ledger[q.p.Key()] = Charge{Backend: b.cfg.ID, Cents: perPair}
 	}
 	b.buf = b.buf[:0]
 	lat := m.drawLatency(b.cfg.Latency)
@@ -625,17 +628,21 @@ func (m *Market) union(p record.Pair, fc float64) {
 	}
 	ra, rb := m.find(p.Lo), m.find(p.Hi)
 	if ra != rb {
+		for int(ra) >= len(m.parent) {
+			m.parent = append(m.parent, record.ID(len(m.parent)))
+		}
 		m.parent[ra] = rb
 	}
 }
 
-// find is the union-find root lookup with path compression.
+// find is the union-find root lookup with path compression. The forest
+// grows only as far as the largest id ever linked; every id past its
+// end is still a singleton root.
 func (m *Market) find(id record.ID) record.ID {
-	r, ok := m.parent[id]
-	if !ok || r == id {
+	if int(id) >= len(m.parent) || m.parent[id] == id {
 		return id
 	}
-	root := m.find(r)
+	root := m.find(m.parent[id])
 	m.parent[id] = root
 	return root
 }

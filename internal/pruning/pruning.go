@@ -1,6 +1,9 @@
 package pruning
 
 import (
+	"math"
+	"slices"
+
 	"acd/internal/blocking"
 	"acd/internal/cluster"
 	"acd/internal/obs"
@@ -26,16 +29,77 @@ const (
 const DefaultTau = 0.3
 
 // Candidates is the output of the pruning phase: the candidate set S with
-// machine scores, in descending score order, plus a score lookup.
+// machine scores, in descending score order, plus a dense pair → index
+// lookup. S is fixed for a campaign, so every per-pair structure
+// downstream (refine's estimate cache, the market's prior) reads a
+// pair's score through Index as a binary search in one short row
+// instead of hashing the pair.
 type Candidates struct {
 	// Pairs holds the candidate set S sorted by descending machine score
-	// (the issue order used by TransM).
+	// (the issue order used by TransM). Treat it as read-only: the index
+	// below is built over it once.
 	Pairs []blocking.ScoredPair
-	// Machine maps each candidate pair to its machine similarity f. Pairs
-	// outside the map were pruned and have f = 0 by convention.
-	Machine cluster.Scores
 	// N is the size of the record universe.
 	N int
+
+	// The pair index in CSR form, rows keyed by Pair.Lo: row lo's
+	// partners occupy hi[off[lo]:off[lo+1]] in ascending order, and
+	// pos[k] is the position in Pairs of the pair (lo, hi[k]). Prune and
+	// FromScores build it; a Candidates made any other way has an empty
+	// index.
+	off []int32
+	hi  []uint32
+	pos []int32
+}
+
+// newCandidates wraps a scored candidate list (already in descending
+// score order, each pair canonical and distinct) over a universe of n
+// records, building its pair index. Pair ids may exceed n — the index
+// sizes its rows from the pairs — but must lie in [0, 2³²).
+//
+// The index is two counting sorts: pairs are first bucketed by Hi, then
+// dealt out to their Lo rows in that order, so every row comes out
+// sorted by Hi with no comparison sort and O(|S| + max id) work.
+func newCandidates(n int, pairs []blocking.ScoredPair) *Candidates {
+	c := &Candidates{Pairs: pairs, N: n}
+	rows, cols := 0, 0
+	for _, sp := range pairs {
+		_ = sp.Pair.Key() // range check: ids in [0, 2³²)
+		rows = max(rows, int(sp.Pair.Lo)+1)
+		cols = max(cols, int(sp.Pair.Hi)+1)
+	}
+	// Bucket pair positions by Hi.
+	byHi := make([]int32, cols+1)
+	for _, sp := range pairs {
+		byHi[sp.Pair.Hi+1]++
+	}
+	for h := 0; h < cols; h++ {
+		byHi[h+1] += byHi[h]
+	}
+	order := make([]int32, len(pairs))
+	for i, sp := range pairs {
+		order[byHi[sp.Pair.Hi]] = int32(i)
+		byHi[sp.Pair.Hi]++
+	}
+	// Deal them out to their Lo rows in ascending-Hi order.
+	c.off = make([]int32, rows+1)
+	for _, sp := range pairs {
+		c.off[sp.Pair.Lo+1]++
+	}
+	for r := 0; r < rows; r++ {
+		c.off[r+1] += c.off[r]
+	}
+	cur := append([]int32(nil), c.off[:rows]...)
+	c.hi = make([]uint32, len(pairs))
+	c.pos = make([]int32, len(pairs))
+	for _, i := range order {
+		p := pairs[i].Pair
+		k := cur[p.Lo]
+		cur[p.Lo]++
+		c.hi[k] = uint32(p.Hi)
+		c.pos[k] = i
+	}
+	return c
 }
 
 // Options configures a pruning run.
@@ -100,17 +164,13 @@ func Prune(records []record.Record, opts Options) *Candidates {
 	} else {
 		scored = blocking.NaiveJoinParallelObs(records, opts.Metric, tau, opts.Parallelism, rec)
 	}
-	machine := make(cluster.Scores, len(scored))
-	for _, sp := range scored {
-		machine[sp.Pair] = sp.Score
-	}
 	rec.Count(MetricCandidates, int64(len(scored)))
 	if rec.Tracing() {
 		rec.Trace("pruning.done", map[string]any{
 			"records": len(records), "tau": tau, "candidates": len(scored),
 		})
 	}
-	return &Candidates{Pairs: scored, Machine: machine, N: len(records)}
+	return newCandidates(len(records), scored)
 }
 
 // FromScores builds a Candidates directly from a score map, applying the
@@ -118,15 +178,13 @@ func Prune(records []record.Record, opts Options) *Candidates {
 // prescribed rather than computed.
 func FromScores(n int, scores cluster.Scores, tau float64) *Candidates {
 	var pairs []blocking.ScoredPair
-	machine := make(cluster.Scores)
 	for p, f := range scores {
 		if f > tau {
 			pairs = append(pairs, blocking.ScoredPair{Pair: p, Score: f})
-			machine[p] = f
 		}
 	}
 	blocking.SortScored(pairs)
-	return &Candidates{Pairs: pairs, Machine: machine, N: n}
+	return newCandidates(n, pairs)
 }
 
 // PairList returns just the pairs of the candidate set, in the same
@@ -139,11 +197,45 @@ func (c *Candidates) PairList() []record.Pair {
 	return out
 }
 
+// Index returns p's position in Pairs, and false when p is not a
+// candidate (pruned, non-canonical, or out of range). It is a binary
+// search in p.Lo's row of the pair index and allocates nothing; safe
+// for concurrent use.
+func (c *Candidates) Index(p record.Pair) (int32, bool) {
+	if p.Lo < 0 || int(p.Lo) >= len(c.off)-1 || uint64(p.Hi) > math.MaxUint32 {
+		return 0, false
+	}
+	start := c.off[p.Lo]
+	k, ok := slices.BinarySearch(c.hi[start:c.off[p.Lo+1]], uint32(p.Hi))
+	if !ok {
+		return 0, false
+	}
+	return c.pos[int(start)+k], true
+}
+
 // Contains reports whether p survived pruning.
 func (c *Candidates) Contains(p record.Pair) bool {
-	_, ok := c.Machine[p]
+	_, ok := c.Index(p)
 	return ok
 }
 
 // Score returns the machine score f of a pair (0 if pruned).
-func (c *Candidates) Score(p record.Pair) float64 { return c.Machine.Get(p) }
+func (c *Candidates) Score(p record.Pair) float64 {
+	if i, ok := c.Index(p); ok {
+		return c.Pairs[i].Score
+	}
+	return 0
+}
+
+// Machine returns the candidate scores as a fresh map, for the
+// machine-only consumers that take a cluster.Scores (BOEM, the
+// agglomerative baseline); pairs outside it were pruned and have f = 0
+// by convention. The crowd pipeline reads scores through Score and
+// Index instead.
+func (c *Candidates) Machine() cluster.Scores {
+	m := make(cluster.Scores, len(c.Pairs))
+	for _, sp := range c.Pairs {
+		m[sp.Pair] = sp.Score
+	}
+	return m
+}

@@ -128,7 +128,7 @@ func TestPruneParallelismEquivalent(t *testing.T) {
 			if !reflect.DeepEqual(got.Pairs, want.Pairs) {
 				t.Errorf("parallelism %d diverged from sequential (metric %v)", p, opts.Metric != nil)
 			}
-			if got.N != want.N || len(got.Machine) != len(want.Machine) {
+			if got.N != want.N || !reflect.DeepEqual(got.Machine(), want.Machine()) {
 				t.Errorf("parallelism %d: candidates metadata diverged", p)
 			}
 		}
@@ -196,4 +196,98 @@ func TestFromScores(t *testing.T) {
 	if got := c.PairList(); len(got) != 2 || got[0] != record.MakePair(0, 1) {
 		t.Errorf("PairList wrong: %v", got)
 	}
+}
+
+// TestCandidatesIndex holds Index, Score and Contains to a reference
+// map built from Pairs, over Prune output and FromScores output: every
+// candidate maps to its own position, and every probe outside S —
+// pruned pairs, reversed pairs, ids at or past N, negative ids — misses
+// with score 0. τ = −1 keeps zero-score pairs, which must still be
+// found (Contains true, Score 0).
+func TestCandidatesIndex(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	vocab := []string{"a", "b", "c", "d", "e", "f", "g", "h", "i", "j"}
+	recs := make([]record.Record, 120)
+	for i := range recs {
+		text := ""
+		for w := 0; w < 1+rng.Intn(6); w++ {
+			text += vocab[rng.Intn(len(vocab))] + " "
+		}
+		recs[i] = record.New(record.ID(i), map[string]string{"t": text})
+	}
+	scores := cluster.Scores{}
+	for k := 0; k < 400; k++ {
+		a, b := record.ID(rng.Intn(40)), record.ID(rng.Intn(40))
+		if a == b {
+			continue
+		}
+		scores[record.MakePair(a, b)] = float64(rng.Intn(5)) / 4 // 0 included
+	}
+	// Pairs past the universe: FromScores takes ids as given.
+	scores[record.MakePair(3, 45)] = 0.9
+	scores[record.MakePair(41, 44)] = 0.6
+	cases := map[string]*Candidates{
+		"prune":            Prune(recs, Options{}),
+		"prune-tau0":       Prune(recs, Options{Tau: 0, TauSet: true}),
+		"fromscores":       FromScores(40, scores, 0.3),
+		"fromscores-tau-1": FromScores(40, scores, -1),
+		"empty":            FromScores(10, cluster.Scores{}, 0.3),
+		"empty-prune":      Prune(nil, Options{}),
+	}
+	for name, c := range cases {
+		ref := make(map[record.Pair]int, len(c.Pairs))
+		for i, sp := range c.Pairs {
+			ref[sp.Pair] = i
+		}
+		limit := record.ID(c.N + 8)
+		for lo := record.ID(-2); lo < limit; lo++ {
+			for hi := record.ID(-2); hi < limit; hi++ {
+				p := record.Pair{Lo: lo, Hi: hi}
+				want, in := ref[p]
+				i, ok := c.Index(p)
+				if ok != in || (ok && int(i) != want) {
+					t.Fatalf("%s: Index(%v) = %d, %v; want %d, %v", name, p, i, ok, want, in)
+				}
+				if c.Contains(p) != in {
+					t.Fatalf("%s: Contains(%v) = %v, want %v", name, p, !in, in)
+				}
+				wantScore := 0.0
+				if in {
+					wantScore = c.Pairs[want].Score
+				}
+				if got := c.Score(p); got != wantScore {
+					t.Fatalf("%s: Score(%v) = %v, want %v", name, p, got, wantScore)
+				}
+			}
+		}
+		if !reflect.DeepEqual(c.Machine(), cluster.Scores(scoresOf(c))) {
+			t.Errorf("%s: Machine() disagrees with Pairs", name)
+		}
+	}
+	if _, ok := cases["fromscores-tau-1"].Index(record.Pair{Lo: 3, Hi: 45 + 1<<32}); ok {
+		t.Errorf("an id past 2³² aliased a candidate")
+	}
+	if c := cases["fromscores-tau-1"]; !c.Contains(record.MakePair(41, 44)) || c.Score(record.MakePair(3, 45)) != 0.9 {
+		t.Errorf("pairs past N lost from the index")
+	}
+	zero := 0
+	for _, sp := range cases["fromscores-tau-1"].Pairs {
+		if sp.Score == 0 {
+			zero++
+		}
+	}
+	if zero == 0 {
+		t.Fatalf("fixture has no zero-score pairs at τ = −1")
+	}
+	if len(cases["empty"].Pairs) != 0 || cases["empty"].Contains(record.MakePair(0, 1)) {
+		t.Errorf("empty candidate set is not empty")
+	}
+}
+
+func scoresOf(c *Candidates) map[record.Pair]float64 {
+	m := make(map[record.Pair]float64, len(c.Pairs))
+	for _, sp := range c.Pairs {
+		m[sp.Pair] = sp.Score
+	}
+	return m
 }

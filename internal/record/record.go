@@ -2,6 +2,7 @@ package record
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 )
@@ -89,6 +90,25 @@ func (p Pair) Other(id ID) ID {
 
 // String implements fmt.Stringer.
 func (p Pair) String() string { return fmt.Sprintf("(%d,%d)", p.Lo, p.Hi) }
+
+// PairKey is a Pair packed into one word — Lo in the high 32 bits, Hi
+// in the low 32 — so per-pair maps hash and compare 8 bytes instead of
+// a 16-byte struct. It is the one pair-keyed map key of the hot crowd
+// path (crowd.Session, the marketplace).
+type PairKey uint64
+
+// Key packs p. Both ids must lie in [0, 2³²); anything else panics
+// rather than truncate, since two distinct pairs sharing a key would
+// silently share an answer.
+func (p Pair) Key() PairKey {
+	if uint64(p.Lo) > math.MaxUint32 || uint64(p.Hi) > math.MaxUint32 {
+		panic(fmt.Sprintf("record: pair %v does not fit a PairKey", p))
+	}
+	return PairKey(uint64(p.Lo)<<32 | uint64(p.Hi))
+}
+
+// Pair unpacks k.
+func (k PairKey) Pair() Pair { return Pair{Lo: ID(k >> 32), Hi: ID(uint32(k))} }
 
 // Normalize lowercases s and collapses every run of non-alphanumeric
 // characters to a single space. It is the shared preprocessing step for

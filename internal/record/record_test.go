@@ -148,3 +148,50 @@ func TestSortedTokensProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestPairKeyRoundTrip(t *testing.T) {
+	pairs := []Pair{
+		{Lo: 0, Hi: 1},
+		{Lo: 0, Hi: 0},
+		{Lo: 7, Hi: 1 << 20},
+		{Lo: 1<<32 - 2, Hi: 1<<32 - 1},
+		{Lo: 1<<32 - 1, Hi: 0}, // non-canonical pairs pack too
+	}
+	seen := map[PairKey]Pair{}
+	for _, p := range pairs {
+		k := p.Key()
+		if got := k.Pair(); got != p {
+			t.Errorf("%v.Key().Pair() = %v", p, got)
+		}
+		if q, dup := seen[k]; dup {
+			t.Errorf("%v and %v share key %#x", p, q, uint64(k))
+		}
+		seen[k] = p
+	}
+	f := func(lo, hi uint32) bool {
+		p := Pair{Lo: ID(lo), Hi: ID(hi)}
+		return p.Key().Pair() == p
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestPairKeyRefusesOutOfRange(t *testing.T) {
+	for _, p := range []Pair{
+		{Lo: -1, Hi: 3},
+		{Lo: 3, Hi: -1},
+		{Lo: 0, Hi: 1 << 32},
+		{Lo: 1 << 32, Hi: 1<<32 + 1},
+		{Lo: 1 << 40, Hi: 5},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%v.Key() did not panic", p)
+				}
+			}()
+			_ = p.Key()
+		}()
+	}
+}

@@ -1,6 +1,8 @@
 package refine
 
 import (
+	"slices"
+
 	"acd/internal/cluster"
 	"acd/internal/crowd"
 	"acd/internal/pruning"
@@ -21,12 +23,9 @@ import (
 // benefit-cost-driven operations of Section 5.
 func CrowdBOEM(c *cluster.Clustering, cands *pruning.Candidates, sess *crowd.Session) *cluster.Clustering {
 	// Candidate adjacency: only records connected by a candidate pair
-	// can profitably share a cluster.
-	adj := make(map[record.ID][]record.ID)
-	for _, sp := range cands.Pairs {
-		adj[sp.Pair.Lo] = append(adj[sp.Pair.Lo], sp.Pair.Hi)
-		adj[sp.Pair.Hi] = append(adj[sp.Pair.Hi], sp.Pair.Lo)
-	}
+	// can profitably share a cluster. Record r's incident candidate pairs
+	// are incident[off[r]:off[r+1]], with adj holding the far endpoints.
+	off, incident, adj := incidence(cands, c.Len())
 
 	fc := func(a, b record.ID) float64 {
 		p := record.MakePair(a, b)
@@ -36,22 +35,24 @@ func CrowdBOEM(c *cluster.Clustering, cands *pruning.Candidates, sess *crowd.Ses
 		return 0 // pruned pairs have f_c = 0; unknown candidates are resolved below
 	}
 
-	for {
+	queued := make([]int, len(cands.Pairs)) // iteration that queued pair i, 0 = never
+	var targets []int
+	for iter := 1; ; iter++ {
 		// Resolve every pair a move-gain computation could touch: for
 		// each record, its candidate pairs into its own cluster and into
 		// adjacent clusters.
 		var unknown []record.Pair
-		seen := make(map[record.Pair]struct{})
 		for r := record.ID(0); int(r) < c.Len(); r++ {
-			for _, nb := range adj[r] {
-				p := record.MakePair(r, nb)
+			for k := off[r]; k < off[r+1]; k++ {
+				i := incident[k]
+				if queued[i] == iter {
+					continue
+				}
+				p := cands.Pairs[i].Pair
 				if _, ok := sess.Known(p); ok {
 					continue
 				}
-				if _, dup := seen[p]; dup {
-					continue
-				}
-				seen[p] = struct{}{}
+				queued[i] = iter
 				unknown = append(unknown, p)
 			}
 		}
@@ -78,20 +79,29 @@ func CrowdBOEM(c *cluster.Clustering, cands *pruning.Candidates, sess *crowd.Ses
 		bestGain := 1e-12
 		var bestR record.ID
 		bestTarget := -2
+		consider := func(r record.ID, t int) {
+			if g := moveGain(r, t); g > bestGain {
+				bestGain, bestR, bestTarget = g, r, t
+			}
+		}
+		// Gains come in multiples of 2/workers, so ties are common: visit
+		// records in id order and each record's targets in a fixed order
+		// — the split (−1) first, then adjacent clusters by ascending
+		// index — so the first strictly-best move wins on every run.
 		for r := record.ID(0); int(r) < c.Len(); r++ {
-			targets := map[int]struct{}{}
-			for _, nb := range adj[r] {
-				if t := c.Assignment(nb); t != c.Assignment(r) {
-					targets[t] = struct{}{}
+			home := c.Assignment(r)
+			if c.Size(home) > 1 {
+				consider(r, -1)
+			}
+			targets = targets[:0]
+			for _, nb := range adj[off[r]:off[r+1]] {
+				if t := c.Assignment(nb); t != home {
+					targets = append(targets, t)
 				}
 			}
-			if c.Size(c.Assignment(r)) > 1 {
-				targets[-1] = struct{}{}
-			}
-			for t := range targets {
-				if g := moveGain(r, t); g > bestGain {
-					bestGain, bestR, bestTarget = g, r, t
-				}
+			slices.Sort(targets)
+			for _, t := range slices.Compact(targets) {
+				consider(r, t)
 			}
 		}
 		if bestTarget == -2 {

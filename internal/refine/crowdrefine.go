@@ -52,12 +52,12 @@ func CrowdRefine(c *cluster.Clustering, cands *pruning.Candidates, sess *crowd.S
 // collectUnknown gathers the distinct unknown pairs across a set of
 // operations, preserving first-seen order.
 func collectUnknown(st *state, ops []scoredOp) []record.Pair {
-	seen := make(map[record.Pair]struct{})
+	seen := make(map[record.PairKey]struct{})
 	var out []record.Pair
 	for _, s := range ops {
 		for _, p := range st.unknownPairs(s.op) {
-			if _, dup := seen[p]; !dup {
-				seen[p] = struct{}{}
+			if _, dup := seen[p.Key()]; !dup {
+				seen[p.Key()] = struct{}{}
 				out = append(out, p)
 			}
 		}

@@ -130,22 +130,25 @@ type state struct {
 	nbrOff   []int32
 	nbrPair  []int32
 	nbrOther []record.ID
-	// pairIdx maps a candidate pair to its index in cands.Pairs, the key
-	// into the flat estimate cache below. Built once.
-	pairIdx map[record.Pair]int32
 
-	// est and exact cache estimate()'s result per candidate pair for the
-	// current answers epoch (estAt == sess.KnownCount()): between crowd
-	// batches the known set and the histogram are fixed, so every pair's
-	// estimate is a constant that scoring reads out of a flat slice
-	// instead of re-deriving through three map probes and a histogram
-	// search per cross pair.
+	// est and exact cache estimate()'s result per candidate pair, at its
+	// cands.Index position, for the current answers epoch
+	// (estAt == sess.KnownCount()): between crowd batches the known set
+	// and the histogram are fixed, so every pair's estimate is a
+	// constant that scoring reads out of a flat slice instead of
+	// re-deriving through three map probes and a histogram search per
+	// cross pair.
 	est     []float64
 	exact   []bool
 	machine []float64     // machine score per candidate pair (static)
 	estAt   int           // sess.KnownCount() the cache was built at
 	estMode EstimatorMode // mode the cache was built under
 	knownAt int           // prefix of sess.KnownOrdered() already ingested
+
+	// samples are the histogram's (machine, crowd) samples, one per
+	// pair of A in first-crowdsourced order. A only grows, so each
+	// rebuild appends the new tail instead of re-reading all of A.
+	samples []histogram.Sample
 
 	// scratches are the per-worker dense neighbor-estimate scratch
 	// buffers of the scoring loops (index 0 serves every serial path).
@@ -186,44 +189,52 @@ func newState(c *cluster.Clustering, cands *pruning.Candidates, sess *crowd.Sess
 }
 
 // buildRecPairs constructs the static record -> incident candidate-pair
-// CSR (counting sort, exact capacity; per-record order follows
-// cands.Pairs order) and the pair -> index map.
+// CSR and the per-pair machine-score array.
 func (st *state) buildRecPairs() {
-	n := st.c.Len()
-	st.nbrOff = make([]int32, n+1)
-	for _, sp := range st.cands.Pairs {
-		st.nbrOff[sp.Pair.Lo+1]++
-		st.nbrOff[sp.Pair.Hi+1]++
-	}
-	for r := 0; r < n; r++ {
-		st.nbrOff[r+1] += st.nbrOff[r]
-	}
-	st.nbrPair = make([]int32, st.nbrOff[n])
-	st.nbrOther = make([]record.ID, st.nbrOff[n])
-	cur := make([]int32, n)
-	copy(cur, st.nbrOff[:n])
-	st.pairIdx = make(map[record.Pair]int32, len(st.cands.Pairs))
+	st.nbrOff, st.nbrPair, st.nbrOther = incidence(st.cands, st.c.Len())
 	st.machine = make([]float64, len(st.cands.Pairs))
 	for i, sp := range st.cands.Pairs {
+		st.machine[i] = sp.Score
+	}
+}
+
+// incidence builds the record -> incident candidate-pair CSR over n
+// records (counting sort, exact capacity): record r's pairs occupy
+// pair[off[r]:off[r+1]] as indices into cands.Pairs, in cands.Pairs
+// order, with other[k] the far endpoint of pair[k].
+func incidence(cands *pruning.Candidates, n int) (off, pair []int32, other []record.ID) {
+	off = make([]int32, n+1)
+	for _, sp := range cands.Pairs {
+		off[sp.Pair.Lo+1]++
+		off[sp.Pair.Hi+1]++
+	}
+	for r := 0; r < n; r++ {
+		off[r+1] += off[r]
+	}
+	pair = make([]int32, off[n])
+	other = make([]record.ID, off[n])
+	cur := make([]int32, n)
+	copy(cur, off[:n])
+	for i, sp := range cands.Pairs {
 		lo, hi := sp.Pair.Lo, sp.Pair.Hi
 		k := cur[lo]
 		cur[lo]++
-		st.nbrPair[k] = int32(i)
-		st.nbrOther[k] = hi
+		pair[k] = int32(i)
+		other[k] = hi
 		k = cur[hi]
 		cur[hi]++
-		st.nbrPair[k] = int32(i)
-		st.nbrOther[k] = lo
-		st.pairIdx[sp.Pair] = int32(i)
-		st.machine[i] = sp.Score
+		pair[k] = int32(i)
+		other[k] = lo
 	}
+	return off, pair, other
 }
 
 // ensureEstimates (re)builds the flat per-pair estimate cache when it
 // is missing or was built for a different answers epoch or estimator
 // mode. The refresh is incremental: newly crowdsourced pairs (the tail
-// of the session's insertion-ordered A) flip their slots to exact, and
-// the still-unknown candidates re-read the histogram from the static
+// of the session's insertion-ordered A, with their scores read from
+// the aligned KnownScores) flip their slots to exact, and the
+// still-unknown candidates re-read the histogram from the static
 // machine-score array — no per-pair map probes at all. Callers in the
 // parallel scoring pool rely on scoreAll having ensured freshness
 // serially first, so the check never writes concurrently.
@@ -235,11 +246,10 @@ func (st *state) ensureEstimates() {
 		st.est = make([]float64, len(st.cands.Pairs))
 		st.exact = make([]bool, len(st.cands.Pairs))
 	}
-	known := st.sess.KnownOrdered()
-	for _, p := range known[st.knownAt:] {
-		if i, ok := st.pairIdx[p]; ok {
-			fc, _ := st.sess.Known(p)
-			st.est[i] = fc
+	known, scores := st.sess.KnownOrdered(), st.sess.KnownScores()
+	for j := st.knownAt; j < len(known); j++ {
+		if i, ok := st.cands.Index(known[j]); ok {
+			st.est[i] = scores[j]
 			st.exact[i] = true
 		}
 	}
@@ -261,7 +271,7 @@ func (st *state) ensureEstimates() {
 // pairEstimate is estimate() served from the flat cache: candidate
 // pairs read their slot, pruned pairs are exactly 0.
 func (st *state) pairEstimate(p record.Pair) (fc float64, exact bool) {
-	if i, ok := st.pairIdx[p]; ok {
+	if i, ok := st.cands.Index(p); ok {
 		return st.est[i], st.exact[i]
 	}
 	return 0, true
@@ -318,20 +328,20 @@ func (st *state) bumpVer(i int) {
 // the session has crowdsourced so far (Section 5.2; also Lines 15-16 of
 // Algorithm 4 and 21-22 of Algorithm 5).
 func (st *state) rebuildHistogram() {
-	// Iterate A in first-crowdsourced order, not map order: equal machine
-	// scores with different crowd scores land in different equi-depth
-	// buckets depending on sample order, so map iteration would make the
-	// estimator — and everything downstream — vary run to run.
-	known := st.sess.KnownOrdered()
-	samples := make([]histogram.Sample, 0, len(known))
-	for _, p := range known {
-		fc, _ := st.sess.Known(p)
-		samples = append(samples, histogram.Sample{Machine: st.cands.Score(p), Crowd: fc})
+	// Samples follow A in first-crowdsourced order, not map order: equal
+	// machine scores with different crowd scores land in different
+	// equi-depth buckets depending on sample order, so map iteration
+	// would make the estimator — and everything downstream — vary run
+	// to run. A only grows, so only its new tail is read; Build sorts a
+	// copy, leaving st.samples in that order.
+	known, scores := st.sess.KnownOrdered(), st.sess.KnownScores()
+	for j := len(st.samples); j < len(known); j++ {
+		st.samples = append(st.samples, histogram.Sample{Machine: st.cands.Score(known[j]), Crowd: scores[j]})
 	}
-	st.hist = histogram.Build(samples, histogram.DefaultBuckets)
+	st.hist = histogram.Build(st.samples, histogram.DefaultBuckets)
 	rec := st.sess.Recorder()
 	rec.Count(MetricHistRebuilds, 1)
-	rec.Gauge(MetricHistSamples, float64(len(samples)))
+	rec.Gauge(MetricHistSamples, float64(len(st.samples)))
 }
 
 // estimate returns the best available f_c estimate for a pair: the exact

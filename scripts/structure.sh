@@ -55,5 +55,23 @@ if grep -n 'similarity\.JaccardSorted(' $(ls internal/blocking/*.go | grep -v '_
 	fail=1
 fi
 
+# Pair-keyed hashing stays off the hot path: the candidate set is fixed
+# for a campaign, so refine, pruning, the crowd session and the market
+# reach per-pair state through Candidates.Index or a packed
+# record.PairKey. 38 non-test lines in those four packages still name
+# map[record.Pair] — none in refine or pruning; 35 in crowd (the
+# AnswerSet family's answer, provenance and charge maps, chaos,
+# adaptive, pool and calibration, and Session.KnownPairs' exported
+# copy); 3 in market (the exported Ledger and AnswerSet conversions).
+# The count may fall, never rise.
+max_pair_maps=38
+pair_map_files=$(ls internal/refine/*.go internal/pruning/*.go internal/crowd/*.go internal/market/*.go | grep -v '_test\.go$')
+pair_maps=$(cat $pair_map_files | grep -c 'map\[record\.Pair\]' || true)
+if [ "$pair_maps" -gt "$max_pair_maps" ]; then
+	grep -n 'map\[record\.Pair\]' $pair_map_files
+	echo "internal/{refine,pruning,crowd,market} name map[record.Pair] on $pair_maps non-test lines, over the cap of $max_pair_maps: key per-pair state by Candidates.Index or record.PairKey" >&2
+	fail=1
+fi
+
 [ "$fail" -eq 0 ] || exit 1
 scripts/loc.sh
