@@ -5,7 +5,6 @@
 //
 //	acdbench [-exp all|table3|fig5|fig6|fig7|fig8|fig10|ablation|chaos|market]
 //	         [-seed N] [-workers 3|5] [-parallel N] [-chart]
-//	         [-bench-out BENCH_N.json]
 //	         [-metrics] [-metrics-json] [-trace FILE] [-metrics-http ADDR]
 //	         [-cpuprofile FILE] [-memprofile FILE]
 //
@@ -26,8 +25,7 @@
 // -exp market runs the marketplace cost-per-F1 comparison: the full
 // pipeline buying answers from an expensive accurate channel, a cheap
 // noisy one, and a mixed fleet with budget-aware routing (see
-// internal/market). With -bench-out, the results merge into the named
-// BENCH_N.json under the "market" label.
+// internal/market).
 //
 // -cpuprofile and -memprofile write pprof profiles of the run, the
 // companion knobs to the benchmark suite's -cpuprofile: acdbench is the
@@ -43,7 +41,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 
-	"acd/internal/benchfmt"
 	"acd/internal/experiments"
 	"acd/internal/obs"
 )
@@ -59,7 +56,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("acdbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	exp := fs.String("exp", "all", "experiment to run: all, table3, fig5, fig6, fig7, fig8, fig10, ablation, chaos, market")
-	benchOut := fs.String("bench-out", "", "with -exp market: merge the cost-per-F1 results into this BENCH_N.json under the \"market\" label")
 	seed := fs.Int64("seed", 1, "dataset and crowd seed")
 	workers := fs.Int("workers", 0, "restrict comparisons to one worker setting (3 or 5); 0 = both")
 	chart := fs.Bool("chart", false, "render figure comparisons as bar charts")
@@ -139,10 +135,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case "chaos":
 		runFaultTolerance(stdout, *seed, settings)
 	case "market":
-		if err := runMarket(stdout, *seed, *benchOut); err != nil {
-			fmt.Fprintf(stderr, "acdbench: %v\n", err)
-			return 1
-		}
+		runMarket(stdout, *seed)
 	default:
 		fmt.Fprintf(stderr, "acdbench: unknown experiment %q\n", *exp)
 		return 2
@@ -197,23 +190,12 @@ func runFaultTolerance(out io.Writer, seed int64, settings []int) {
 }
 
 // runMarket runs the marketplace cost-per-F1 comparison on every
-// dataset and, when benchOut is set, merges the results into that
-// BENCH_N.json trajectory file under the "market" label.
-func runMarket(out io.Writer, seed int64, benchOut string) error {
-	rows := experiments.CostPerF1All(seed)
-	for _, row := range rows {
+// dataset.
+func runMarket(out io.Writer, seed int64) {
+	for _, row := range experiments.CostPerF1All(seed) {
 		experiments.RenderCostPerF1(out, row)
 		experiments.Rule(out)
 	}
-	if benchOut == "" {
-		return nil
-	}
-	doc, err := benchfmt.Read(benchOut)
-	if err != nil {
-		return err
-	}
-	doc.Set("market", experiments.BenchResults(rows))
-	return doc.Write(benchOut)
 }
 
 func runAblations(out io.Writer, seed int64) {

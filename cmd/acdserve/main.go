@@ -17,8 +17,8 @@
 // contract stands — an id is reported only once its event's group is
 // durable.
 //
-// The engine, handlers, and HTTP API live in internal/serve (so the
-// acdload scenario suite can embed the same server in-process); this
+// The engine, handlers, and HTTP API live in internal/serve (so tests
+// can embed the same server in-process); this
 // command adds flags, the listener, and the graceful-shutdown
 // lifecycle. The API and operations are documented in docs/serving.md.
 //
@@ -63,8 +63,7 @@
 // under the -fleet-budget cap; per-backend spend and accuracy appear
 // under market/* and crowd/backend/* in GET /metrics. A one-backend
 // fleet with fault options is a simulated slow, faulty crowd with real
-// injected latency — the degraded-crowd configuration the load
-// scenarios exercise:
+// injected latency:
 //
 //	-fleet 'sim:2:20:0:lat=500us:spike=0.05:drop=0.05:fault=0.05:timeout=10ms'
 //

@@ -417,3 +417,34 @@ func TestBadFlags(t *testing.T) {
 		t.Fatalf("exit = %d, want 2; stderr:\n%s", code, errb.String())
 	}
 }
+
+// TestFlagsDocumented: every flag -h prints appears as `-name` in the
+// README's flag table.
+func TestFlagsDocumented(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := string(raw)
+	start, end := strings.Index(table, "### Flags"), strings.Index(table, "## Running acdserve")
+	if start < 0 || end < start {
+		t.Fatal("README.md has no flag table before its acdserve section")
+	}
+	table = table[start:end]
+	var out, errb bytes.Buffer
+	run(context.Background(), []string{"-h"}, &out, &errb, nil)
+	n := 0
+	for _, line := range strings.Split(errb.String(), "\n") {
+		if !strings.HasPrefix(line, "  -") {
+			continue
+		}
+		name := strings.Fields(line)[0]
+		n++
+		if !strings.Contains(table, "`"+name+"`") && !strings.Contains(table, "`"+name+" ") {
+			t.Errorf("flag %s is not in README.md's flag table", name)
+		}
+	}
+	if n == 0 {
+		t.Fatalf("-h printed no flags:\n%s", errb.String())
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"math"
 	"time"
 
-	"acd/internal/benchfmt"
 	"acd/internal/cluster"
 	"acd/internal/core"
 	"acd/internal/market"
@@ -172,31 +171,4 @@ func CostPerF1All(seed int64) []CostPerF1Row {
 		rows = append(rows, CostPerF1(MustInstance(name, seed)))
 	}
 	return rows
-}
-
-// BenchResults flattens the comparison into benchfmt results (one per
-// dataset × arm, named "Market/<dataset>/<arm>") for merging into the
-// repo's BENCH_N.json trajectory files.
-func BenchResults(rows []CostPerF1Row) []benchfmt.Result {
-	var out []benchfmt.Result
-	for _, row := range rows {
-		for _, a := range row.Arms {
-			metrics := map[string]float64{
-				"f1":                a.F1,
-				"cents":             a.Cents,
-				"cost_per_f1_cents": a.CostPerF1,
-				"pairs":             a.Pairs,
-				"short_circuited":   a.ShortCircuited,
-			}
-			for id, cents := range a.Spend {
-				metrics["spend_"+id+"_cents"] = cents
-			}
-			out = append(out, benchfmt.Result{
-				Name:    "Market/" + row.Dataset + "/" + a.Name,
-				Samples: Repeats,
-				Metrics: metrics,
-			})
-		}
-	}
-	return out
 }

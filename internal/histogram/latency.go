@@ -10,8 +10,7 @@ import (
 // This file extends the package beyond the paper's equi-depth
 // machine→crowd score histogram with an HDR-style latency histogram for
 // the serving layer: log-linear buckets with bounded relative error,
-// lock-free atomic recording, and percentile queries. acdload uses it to
-// report per-endpoint p50/p90/p99/p999 under concurrent load.
+// lock-free atomic recording, and percentile queries.
 
 const (
 	// latSubBits sets the per-octave resolution: 2^latSubBits

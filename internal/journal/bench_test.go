@@ -13,7 +13,7 @@ import (
 // concurrent appenders, each blocking on its event's durability — the
 // shape acdserve's ingest handlers produce. Group size 1 is the
 // per-event baseline (Append — append, close, wait — one caller at a
-// time, so one fsync per event as in BENCH_8.json); 16 and 256 cap the
+// time, so one fsync per event); 16 and 256 cap the
 // commit group. Reported metrics: events/sec (the b.N rate) and p99
 // append latency in microseconds.
 func benchCommitter(b *testing.B, fs FS, group int) {

@@ -10,10 +10,10 @@ import (
 )
 
 // Local is an in-process server on an ephemeral loopback port: the
-// harness behind acdload's self-hosted mode, the scenario suite, and
-// the loopback smoke tests. Requests travel through a real TCP socket
-// and the real HTTP stack, so measured latencies include everything a
-// remote client would pay except the wire.
+// harness behind the serving drills and the loopback smoke tests.
+// Requests travel through a real TCP socket and the real HTTP stack, so
+// measured latencies include everything a remote client would pay
+// except the wire.
 type Local struct {
 	// URL is the server's base URL ("http://127.0.0.1:PORT").
 	URL string

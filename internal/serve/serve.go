@@ -2,9 +2,9 @@
 // incremental dedup engine (a shard.Group when leading, a
 // replica.Follower's shard.Standby when following — the same folded
 // state either way) — the engine-and-handlers core of the
-// acdserve command, extracted so the acdload workload generator and its
-// scenario suite can run real servers in-process (loopback smoke tests,
-// crash-image drills) without shelling out to a binary. cmd/acdserve is
+// acdserve command, extracted so tests can run real servers in-process
+// (loopback smoke tests, the crash, failover and outage drills) without
+// shelling out to a binary. cmd/acdserve is
 // a thin flags-and-lifecycle wrapper around this package; the HTTP API
 // the two expose is identical and documented in docs/serving.md.
 //
@@ -112,8 +112,7 @@ type Config struct {
 // defaults to (4 MiB): large enough that rotation cost (segment close +
 // create + directory fsync) stays far off the append hot path even at
 // full group-commit throughput, small enough that checkpoint
-// compaction reclaims disk promptly. See BENCH_8.json for the
-// group-commit measurements behind it.
+// compaction reclaims disk promptly.
 const DefaultRotateBytes = 4 << 20
 
 // Server owns either a shard group (leader) or a replication follower

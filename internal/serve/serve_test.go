@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -302,6 +304,20 @@ func TestEndpointsComplete(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode == http.StatusNotFound || resp.StatusCode == http.StatusMethodNotAllowed {
 			t.Errorf("%s responded %d — list and mux disagree", ep, resp.StatusCode)
+		}
+	}
+}
+
+// TestEndpointsDocumented: every advertised endpoint appears verbatim in
+// docs/serving.md.
+func TestEndpointsDocumented(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "..", "docs", "serving.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ep := range Endpoints() {
+		if !strings.Contains(string(raw), "`"+ep+"`") {
+			t.Errorf("endpoint %q is not documented in docs/serving.md", ep)
 		}
 	}
 }

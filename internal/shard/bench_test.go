@@ -26,7 +26,7 @@ var benchSink atomic.Int64
 // a snapshot read), then one global resolve, on a fresh directory every
 // iteration so the cost per op is constant. The shard count comes from
 // ACD_BENCH_SHARDS (default 4), so one benchmark name covers both
-// sides of the single-vs-sharded comparison in BENCH_6.json:
+// sides of the single-vs-sharded comparison:
 //
 //	ACD_BENCH_SHARDS=1 go test -bench GroupMixed ./internal/shard/   # single engine
 //	ACD_BENCH_SHARDS=4 go test -bench GroupMixed ./internal/shard/   # sharded

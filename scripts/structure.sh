@@ -73,5 +73,21 @@ if [ "$pair_maps" -gt "$max_pair_maps" ]; then
 	fail=1
 fi
 
+# The predecessor load harness is retired: `go run ./benchmark` is the
+# one instrument, and the serving drills are tests in internal/serve. No
+# tracked file may name the harness's packages, commands, scripts or
+# trajectory files again, except where history is the point: benchmark/
+# (frozen, its README keeps the legacy map) and the root-level notes
+# (change log, roadmap, paper and related-work references). README.md,
+# DESIGN.md and EXPERIMENTS.md are checked. The bracketed letters keep
+# the pattern from matching this script.
+retired='BENCH_[0-9]|internal/loa[d]|acdloa[d]|loadbenc[h]|benchjso[n]|benchfm[t]'
+hits=$(git grep -nE "$retired" -- . ':!benchmark/' ':(exclude,glob)*.md'; git grep -nE "$retired" -- README.md DESIGN.md EXPERIMENTS.md) || true
+if [ -n "$hits" ]; then
+	echo "$hits"
+	echo "the lines above name the retired load harness: measure with go run ./benchmark, drill in internal/serve/drill_test.go" >&2
+	fail=1
+fi
+
 [ "$fail" -eq 0 ] || exit 1
 scripts/loc.sh
